@@ -34,10 +34,6 @@ type commonFlags struct {
 	tlEvery     *uint64
 	tlCap       *int
 
-	// parts shards every machine's event engine across this many partition
-	// engines (merged mode: byte-identical results at any value).
-	parts *int
-
 	// policy is the resolved delivery policy, nil when -policy was not given
 	// (the machine default, delivery.TwoCase, then applies).
 	policy delivery.Policy
@@ -64,8 +60,6 @@ func registerCommon(fs *flag.FlagSet) *commonFlags {
 	c.niqSpec = fs.String("niq", "",
 		fmt.Sprintf("NI input-queue model[:policy[:slots]], models %v, policies %v (default: fifo)",
 			niq.Models(), niq.Policies()))
-	c.parts = fs.Int("parts", 1,
-		"partition the event engine across this many shards (results are byte-identical at any value)")
 	return c
 }
 
@@ -93,10 +87,6 @@ func (c *commonFlags) resolve() {
 		}
 		c.queue = spec
 	}
-	if *c.parts < 1 {
-		fmt.Fprintln(os.Stderr, "fugusim: -parts must be at least 1")
-		os.Exit(2)
-	}
 }
 
 // harnessOptions turns the shared flags into the base harness option set:
@@ -117,9 +107,6 @@ func (c *commonFlags) harnessOptions() []harness.Option {
 	}
 	if tc := c.telemetryConfig(); tc.Enabled() {
 		opts = append(opts, harness.WithTelemetry(tc))
-	}
-	if *c.parts > 1 {
-		opts = append(opts, harness.WithPartitions(*c.parts))
 	}
 	return opts
 }
@@ -202,10 +189,10 @@ func (c *commonFlags) vetArtifacts(force bool, names ...string) error {
 // per-machine timelines independent.
 func (c *commonFlags) configMut() func(*glaze.Config) {
 	tc := c.telemetryConfig()
-	if c.policy == nil && c.queue.Model == "" && !tc.Enabled() && *c.parts <= 1 {
+	if c.policy == nil && c.queue.Model == "" && !tc.Enabled() {
 		return nil
 	}
-	pol, queue, parts := c.policy, c.queue, *c.parts
+	pol, queue := c.policy, c.queue
 	return func(cfg *glaze.Config) {
 		if pol != nil {
 			cfg.Delivery = pol
@@ -215,9 +202,6 @@ func (c *commonFlags) configMut() func(*glaze.Config) {
 		}
 		if tc.Enabled() {
 			cfg.Telemetry = telemetry.NewRecorder(tc)
-		}
-		if parts > 1 {
-			cfg.Partitions = parts
 		}
 	}
 }

@@ -104,9 +104,6 @@ var (
 	WithAtomicity = glaze.WithAtomicity
 	// WithFrames sets the per-node physical frame pool size.
 	WithFrames = glaze.WithFrames
-	// WithPartitions shards the event engine across n partition engines
-	// (byte-identical results at any value).
-	WithPartitions = glaze.WithPartitions
 	// WithMachineSeed sets the simulation seed.
 	WithMachineSeed = glaze.WithMachineSeed
 	// WithOutputWords sets the NI output-descriptor length in words.

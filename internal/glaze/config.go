@@ -50,13 +50,6 @@ func WithFrames(n int) ConfigOption {
 	return func(c *Config) { c.FramesPerNode = n }
 }
 
-// WithPartitions shards the event engine across n partition engines driven
-// as a merged group (see Config.Partitions). Results are byte-identical for
-// any n; 0 or 1 keeps the single serial engine.
-func WithPartitions(n int) ConfigOption {
-	return func(c *Config) { c.Partitions = n }
-}
-
 // WithMachineSeed sets the simulation seed (per-node clock skew jitter and
 // any other randomized behaviour derive from it).
 func WithMachineSeed(seed uint64) ConfigOption {

@@ -25,18 +25,6 @@ type Config struct {
 	Latency       mesh.LatencyModel
 	FramesPerNode int
 
-	// Partitions shards the event engine: nodes spread across N partition
-	// engines (each with its own heap and event pool) driven as a merged
-	// group — one shared clock, sequence counter and RNG, with the global
-	// (time, seq) minimum popped across shards. Execution order is exactly
-	// the serial engine's, so results are byte-identical for any value;
-	// 0 or 1 means one standalone engine (today's serial hot path,
-	// untouched). Glaze machines use merged mode, not parallel windows,
-	// because the model has zero-latency cross-node state (gang decisions,
-	// job counters, shared recorders) that no lookahead window can make
-	// safe; see DESIGN.md.
-	Partitions int
-
 	// Delivery selects the receive-side delivery policy. Nil means
 	// delivery.TwoCase{}, the paper's organization and the bit-exact
 	// default; see the delivery package for the rivals.
@@ -148,11 +136,6 @@ type Machine struct {
 	telemetry *telemetry.Recorder
 	diags     []Diagnostic
 
-	// group is the partition group when Config.Partitions > 1, nil for a
-	// single standalone engine (Eng is then that engine; with a group, Eng
-	// is shard 0 and running it drives the whole group).
-	group *sim.Group
-
 	// Metrics holds the machine-wide instruments (engine, mesh, gang
 	// scheduler); per-node instruments live on each Node. MetricsSnapshot
 	// merges all of them.
@@ -165,21 +148,7 @@ func NewMachine(cfg Config, opts ...ConfigOption) *Machine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	parts := cfg.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	if n := cfg.W * cfg.H; parts > n {
-		parts = n
-	}
-	var eng *sim.Engine
-	var group *sim.Group
-	if parts > 1 {
-		group = sim.NewMergedGroup(cfg.Seed, parts)
-		eng = group.Shard(0)
-	} else {
-		eng = sim.NewEngine(cfg.Seed)
-	}
+	eng := sim.NewEngine(cfg.Seed)
 	if cfg.Watchdog.Enabled() && cfg.Spans == nil {
 		// The watchdog's progress fingerprint and report need a recorder.
 		cfg.Spans = spans.NewRecorder(cfg.Trace)
@@ -201,17 +170,10 @@ func NewMachine(cfg Config, opts ...ConfigOption) *Machine {
 		Trace:          cfg.Trace,
 		Spans:          cfg.Spans,
 		Metrics:        metrics.NewRegistry(),
-		group:          group,
 	}
-	// Every shard binds the same registry (and profiler): the counters are
-	// shared instances, and merged-mode execution is serial in global time
-	// order, so the totals — and the profiler's per-site cycle attribution
-	// — are identical to the single-engine run.
-	for _, sh := range m.shardEngines() {
-		sh.UseMetrics(m.Metrics)
-		if cfg.Profiler != nil {
-			sh.UseProfiler(cfg.Profiler)
-		}
+	eng.UseMetrics(m.Metrics)
+	if cfg.Profiler != nil {
+		eng.UseProfiler(cfg.Profiler)
 	}
 	m.Net.UseMetrics(m.Metrics)
 	if cfg.Faults != nil {
@@ -225,25 +187,15 @@ func NewMachine(cfg Config, opts ...ConfigOption) *Machine {
 		m.Net.UseSpans(m.Spans)
 	}
 	n := cfg.W * cfg.H
-	if group != nil {
-		// Nodes spread across partitions in contiguous runs; the mesh
-		// schedules each node's events (packet deliveries) on its shard.
-		perNode := make([]*sim.Engine, n)
-		for i := 0; i < n; i++ {
-			perNode[i] = group.Shard(i * parts / n)
-		}
-		m.Net.ShardEngines(perNode)
-	}
 	m.Nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
-		neng := m.engFor(i)
 		node := &Node{
 			Index:   i,
-			CPU:     cpu.New(neng, fmt.Sprintf("cpu%d", i)),
+			CPU:     cpu.New(eng, fmt.Sprintf("cpu%d", i)),
 			Frames:  vm.NewFrames(cfg.FramesPerNode),
 			Metrics: metrics.NewRegistry(),
 		}
-		node.NI = nic.New(neng, m.Net, i, cfg.NIConfig)
+		node.NI = nic.New(eng, m.Net, i, cfg.NIConfig)
 		node.NI.AttachCPU(node.CPU)
 		node.NI.UseMetrics(node.Metrics)
 		if m.Faults != nil {
@@ -288,31 +240,6 @@ func (m *Machine) WatchdogReport() *spans.Report {
 		return nil
 	}
 	return m.watchdog.report
-}
-
-// Group returns the machine's partition group, nil when running on one
-// standalone engine (Partitions <= 1).
-func (m *Machine) Group() *sim.Group { return m.group }
-
-// engFor returns the engine owning a node's events.
-func (m *Machine) engFor(node int) *sim.Engine {
-	if m.group == nil {
-		return m.Eng
-	}
-	return m.group.Shard(node * m.group.Parts() / len(m.Nodes))
-}
-
-// shardEngines returns every engine of the machine: the one standalone
-// engine, or all partition shards.
-func (m *Machine) shardEngines() []*sim.Engine {
-	if m.group == nil {
-		return []*sim.Engine{m.Eng}
-	}
-	engs := make([]*sim.Engine, m.group.Parts())
-	for i := range engs {
-		engs[i] = m.group.Shard(i)
-	}
-	return engs
 }
 
 // Cost returns the machine's cost model.

@@ -121,20 +121,6 @@ func (m *Machine) Diagnose(reason string) *spans.Report {
 		m.Eng.Now(), m.Eng.Pending(), m.Eng.LiveProcs())
 	rep.Sections = append(rep.Sections, spans.Section{Title: "engine", Body: b.String()})
 
-	if m.group != nil {
-		// Per-partition visibility: a single wedged partition shows up as
-		// one shard's heap draining while the others sit at the barrier.
-		st := m.group.Stats()
-		var b strings.Builder
-		fmt.Fprintf(&b, "mode=%s parts=%d horizon=%d barriers=%d staged=%d\n",
-			st.Mode, len(st.Shards), st.Horizon, st.Barriers, st.Staged)
-		for _, sh := range st.Shards {
-			fmt.Fprintf(&b, "part %d: t=%d heap-depth=%d live-procs=%d barrier-waits=%d\n",
-				sh.Part, sh.Now, sh.HeapDepth, sh.LiveProcs, sh.BarrierWaits)
-		}
-		rep.Sections = append(rep.Sections, spans.Section{Title: "partitions", Body: b.String()})
-	}
-
 	for _, node := range m.Nodes {
 		var b strings.Builder
 		running := "idle"

@@ -69,39 +69,6 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 }
 
-// TestDiagnosePartitionSection: on a partitioned machine, Diagnose must
-// break the engine state out per partition (heap depth, local time,
-// barrier waits) so a single wedged partition is visible; a serial machine
-// must not grow the section.
-func TestDiagnosePartitionSection(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.W, cfg.H = 2, 2
-	cfg.Partitions = 2
-	m := NewMachine(cfg)
-	rep := m.Diagnose("test")
-	var body string
-	for _, s := range rep.Sections {
-		if s.Title == "partitions" {
-			body = s.Body
-		}
-	}
-	if body == "" {
-		t.Fatalf("no partitions section in Diagnose report: %+v", rep.Sections)
-	}
-	for _, want := range []string{"mode=merged parts=2", "part 0:", "part 1:", "heap-depth=", "barrier-waits="} {
-		if !strings.Contains(body, want) {
-			t.Errorf("partitions section missing %q:\n%s", want, body)
-		}
-	}
-
-	serial := NewMachine(NewConfig(WithMesh(2, 2)))
-	for _, s := range serial.Diagnose("test").Sections {
-		if s.Title == "partitions" {
-			t.Error("serial machine grew a partitions section")
-		}
-	}
-}
-
 // TestWatchdogImplicitRecorder: enabling only the watchdog must install a
 // span recorder (the fingerprint needs one).
 func TestWatchdogImplicitRecorder(t *testing.T) {

@@ -11,12 +11,12 @@ import (
 // BigMeshConfig parameterizes the open-loop mesh traffic workload used to
 // exercise the parallel partition driver. Unlike the glaze experiments —
 // which share zero-latency cross-node state (gang schedules, job counters,
-// the fault injector's stream) and therefore run partitioned in merged
-// mode — bigmesh is partition-clean by construction: every node's state is
+// the fault injector's stream) and therefore run on one serial engine —
+// bigmesh is partition-clean by construction: every node's state is
 // touched only from its own engine, all cross-node interaction travels
 // through the mesh at physical latency, and randomness comes from per-node
 // streams seeded independently of the partition count. That makes it safe
-// under Parallel groups and deterministic across any partition count.
+// under parallel groups and deterministic across any partition count.
 type BigMeshConfig struct {
 	W, H     int    // mesh dimensions
 	Parts    int    // partition count; <=1 runs a plain serial engine

@@ -10,6 +10,7 @@ import (
 
 	"fugu/internal/delivery"
 	"fugu/internal/faultinject"
+	"fugu/internal/spans"
 )
 
 // TestCrucibleSmoke runs the whole quick sweep once and demands what the CI
@@ -121,6 +122,51 @@ func TestCrucibleBalanceProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFaultPolicySpanProperty is the property-based sweep over the full
+// configuration cross product: for ANY random fault plan, under every
+// registered delivery policy, the run's spans must reconcile against the
+// machine's delivery counters.
+func TestFaultPolicySpanProperty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("property sweep skipped in -short mode")
+	}
+	check := func(seed uint64, pMis, pRev, pStall uint8) bool {
+		plan := cruciblePlan{
+			name: fmt.Sprintf("policy-prop-%#x", seed),
+			arm: func(p *faultinject.Plan) {
+				w := func(b uint8, cycles uint64) faultinject.FaultSpec {
+					return faultinject.FaultSpec{
+						Prob: float64(b) / 365.0,
+						From: crucibleFaultsStart, Until: crucibleFaultsLift,
+						Cycles: cycles, Node: faultinject.AllNodes,
+					}
+				}
+				p.Arm(faultinject.GIDMismatch, w(pMis, 0))
+				p.Arm(faultinject.AtomicityTimeout, w(pRev, 0))
+				p.Arm(faultinject.LinkStall, w(pStall, 250))
+			},
+		}
+		for _, polName := range delivery.Names() {
+			pol, err := delivery.ByName(polName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := spans.NewRecorder(nil)
+			pt := runCrucible(plan, 0, NewOptions(WithQuick(), WithTrials(1), WithSeed(seed),
+				WithDeliveryPolicy(pol), WithSpans(rec)))
+			if probs := rec.Check(pt.snap.Counters["glaze.deliver.fast"],
+				pt.snap.Counters["glaze.deliver.buffered"]); len(probs) != 0 {
+				t.Logf("seed=%#x policy=%s: span invariants violated: %v", seed, polName, probs)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 6}); err != nil {
 		t.Error(err)
 	}
 }

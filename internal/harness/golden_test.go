@@ -111,10 +111,9 @@ func TestGoldenExplicitTwoCase(t *testing.T) {
 
 // TestGoldenExplicitFIFO pins the InputQueue seam the same way: selecting
 // niq's static FIFO explicitly must be byte-identical to the machine
-// default (zero spec), serial and at 2 and 4 engine partitions. The seam
-// moved the receive queue behind an interface; this is the proof the
-// default organization neither costs, draws nor reorders anything on the
-// way — at any partition count.
+// default (zero spec). The seam moved the receive queue behind an
+// interface; this is the proof the default organization neither costs,
+// draws nor reorders anything on the way.
 func TestGoldenExplicitFIFO(t *testing.T) {
 	for _, name := range []string{"table4", "fig9"} {
 		want := goldenFast[name]
@@ -122,21 +121,19 @@ func TestGoldenExplicitFIFO(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
 		}
-		for _, parts := range []int{1, 2, 4} {
-			res, err := (&Runner{}).Run(context.Background(), exp,
-				WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(1),
-				WithInputQueue(niq.Spec{Model: niq.ModelFIFO}), WithPartitions(parts))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			files := res.(CSVer).CSVFiles()
-			for file, wantHash := range want {
-				sum := sha256.Sum256([]byte(files[file]))
-				if got := hex.EncodeToString(sum[:]); got != wantHash {
-					t.Errorf("%s with explicit fifo queue at %d partition(s): %s hash = %s, want golden %s "+
-						"(selecting the default queue organization must be bit-identical to not selecting one)",
-						name, parts, file, got, wantHash)
-				}
+		res, err := (&Runner{}).Run(context.Background(), exp,
+			WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(1),
+			WithInputQueue(niq.Spec{Model: niq.ModelFIFO}))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		files := res.(CSVer).CSVFiles()
+		for file, wantHash := range want {
+			sum := sha256.Sum256([]byte(files[file]))
+			if got := hex.EncodeToString(sum[:]); got != wantHash {
+				t.Errorf("%s with explicit fifo queue: %s hash = %s, want golden %s "+
+					"(selecting the default queue organization must be bit-identical to not selecting one)",
+					name, file, got, wantHash)
 			}
 		}
 	}

@@ -65,11 +65,6 @@ type Options struct {
 	// point machine. Like Trace and Spans it is unsynchronized: pair it
 	// with WithParallelism(1) (as `fugusim explain` does).
 	Profiler *sim.Profiler
-	// Partitions, when > 1, shards every point machine's event engine into
-	// that many partition engines driven as a merged group. Results are
-	// byte-identical to the serial engine for any value (the determinism
-	// tests pin this); see glaze.Config.Partitions.
-	Partitions int
 }
 
 // Option configures an experiment run.
@@ -148,12 +143,6 @@ func WithProfiler(p *sim.Profiler) Option {
 	return optionFunc(func(o *Options) { o.Profiler = p })
 }
 
-// WithPartitions shards every point machine's event engine across n
-// partition engines (see Options.Partitions).
-func WithPartitions(n int) Option {
-	return optionFunc(func(o *Options) { o.Partitions = n })
-}
-
 // NewOptions resolves a full option set: the paper's defaults (full sizes,
 // 3 trials, seed 1) overlaid with the given options.
 func NewOptions(opts ...Option) Options {
@@ -192,7 +181,7 @@ func (o Options) trials() int { return max(1, o.Trials) }
 func (o Options) machineMut(extra func(*glaze.Config)) func(*glaze.Config) {
 	if o.Trace == nil && o.Spans == nil && !o.Watchdog.Enabled() && o.Faults == nil &&
 		o.Policy == nil && o.Queue.Model == "" && !o.QueueAudit && !o.Telemetry.Enabled() &&
-		o.Profiler == nil && o.Partitions <= 1 && extra == nil {
+		o.Profiler == nil && extra == nil {
 		return nil
 	}
 	return func(cfg *glaze.Config) {
@@ -225,9 +214,6 @@ func (o Options) machineMut(extra func(*glaze.Config)) func(*glaze.Config) {
 		}
 		if o.Profiler != nil {
 			cfg.Profiler = o.Profiler
-		}
-		if o.Partitions > 1 {
-			cfg.Partitions = o.Partitions
 		}
 		if extra != nil {
 			extra(cfg)

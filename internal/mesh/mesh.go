@@ -189,7 +189,7 @@ func (n *Net) ShardEngines(engs []*sim.Engine) {
 		panic(fmt.Sprintf("mesh: ShardEngines got %d engines for %d nodes", len(engs), n.Nodes()))
 	}
 	n.engs = engs
-	n.parallel = engs[0].Group() != nil && engs[0].Group().Mode() == sim.Parallel
+	n.parallel = engs[0].Group() != nil
 	if n.parallel {
 		n.ids = make([]uint64, n.Nodes())
 	}

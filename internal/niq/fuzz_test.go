@@ -36,3 +36,34 @@ func FuzzNIQAdmitDrain(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseSpec holds the -niq parser to its contract: any input yields an
+// error or a valid spec, never a panic, and an accepted spec names a real
+// model and round-trips through its canonical name.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"fifo", "damq:static", "reserve:hybrid:8"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if spec.Model == "" {
+			t.Fatalf("ParseSpec(%q) accepted an empty model: %+v", s, spec)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v fails Validate: %v", s, spec, err)
+		}
+		if spec.Slots < 0 {
+			t.Fatalf("ParseSpec(%q) = %+v has negative slots", s, spec)
+		}
+		back, err := ParseSpec(spec.Name())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v, but its name %q does not parse: %v", s, spec, spec.Name(), err)
+		}
+		if n, b := spec.Normalize(), back.Normalize(); n.Model != b.Model || n.Policy != b.Policy {
+			t.Fatalf("ParseSpec(%q) = %s, but its name re-parses as %s", s, spec.Name(), back.Name())
+		}
+	})
+}

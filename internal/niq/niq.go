@@ -148,6 +148,11 @@ func ParseSpec(s string) (Spec, error) {
 	if len(parts) > 3 {
 		return Spec{}, fmt.Errorf("niq: bad spec %q (want model[:policy[:slots]])", s)
 	}
+	if parts[0] == "" {
+		// An empty model would silently mean the default FIFO, dropping
+		// whatever policy and slot count followed it.
+		return Spec{}, fmt.Errorf("niq: empty queue model in spec %q (have %v)", s, Models())
+	}
 	spec := Spec{Model: parts[0]}
 	if len(parts) > 1 {
 		spec.Policy = parts[1]

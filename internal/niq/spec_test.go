@@ -25,6 +25,9 @@ func TestParseSpec(t *testing.T) {
 		{in: "damq:demand:x", err: true},     // non-numeric slots
 		{in: "damq:demand:8:9", err: true},   // too many fields
 		{in: "reserve:hybrid:-4", err: true}, // negative slots
+		{in: ":static:3", err: true},         // empty model
+		{in: ":", err: true},                 // empty model and policy
+		{in: ":demand:4", err: true},         // empty model
 	}
 	for _, c := range cases {
 		got, err := ParseSpec(c.in)

@@ -49,18 +49,11 @@ func NewEngine(seed uint64) *Engine {
 	return &Engine{rng: NewRand(seed)}
 }
 
-// Now returns the current simulation time in cycles. Shards of a merged
-// group share one clock.
-func (e *Engine) Now() uint64 {
-	if e.g != nil && e.g.mode == Merged {
-		return e.g.now
-	}
-	return e.now
-}
+// Now returns the current simulation time in cycles.
+func (e *Engine) Now() uint64 { return e.now }
 
-// Rand returns the engine's deterministic random source. Shards of a merged
-// group share one stream (they interleave in one global order); parallel
-// shards each own an independent stream.
+// Rand returns the engine's deterministic random source. Each shard of a
+// partition group owns an independent stream.
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // alloc takes an event from the free list (or the allocator, while the pool
@@ -69,24 +62,15 @@ func (e *Engine) Rand() *Rand { return e.rng }
 func (e *Engine) alloc(delay uint64) *Event {
 	ev := e.free
 	if ev == nil {
-		ev = &Event{owner: e}
+		ev = &Event{}
 	} else {
 		e.free = ev.next
 		ev.next = nil
 	}
-	if g := e.g; g != nil && g.mode == Merged {
-		// Merged shards share the clock and the sequence counter, so
-		// schedule order — and therefore every tie-break — is the global
-		// order a single serial engine would have issued.
-		ev.at = g.now + delay
-		ev.seq = g.seq
-		g.seq++
-	} else {
-		ev.at = e.now + delay
-		ev.seq = e.seq
-		e.seq++
-	}
+	ev.at = e.now + delay
+	ev.seq = e.seq
 	ev.site = SiteMisc
+	e.seq++
 	return ev
 }
 
@@ -141,20 +125,18 @@ func (e *Engine) scheduleProc(delay uint64, p *Proc) Handle {
 // ScheduleAt registers fn to run at absolute time at (which must not be in
 // the past) and returns a cancellable handle.
 func (e *Engine) ScheduleAt(at uint64, fn func()) Handle {
-	now := e.Now()
-	if at < now {
-		panic(fmt.Sprintf("sim: ScheduleAt(%d) in the past (now=%d)", at, now))
+	if at < e.now {
+		panic(fmt.Sprintf("sim: ScheduleAt(%d) in the past (now=%d)", at, e.now))
 	}
-	return e.Schedule(at-now, fn)
+	return e.Schedule(at-e.now, fn)
 }
 
 // ScheduleArgAt is ScheduleArg with an absolute fire time.
 func (e *Engine) ScheduleArgAt(at uint64, fn func(any), arg any) Handle {
-	now := e.Now()
-	if at < now {
-		panic(fmt.Sprintf("sim: ScheduleArgAt(%d) in the past (now=%d)", at, now))
+	if at < e.now {
+		panic(fmt.Sprintf("sim: ScheduleArgAt(%d) in the past (now=%d)", at, e.now))
 	}
-	return e.ScheduleArg(at-now, fn, arg)
+	return e.ScheduleArg(at-e.now, fn, arg)
 }
 
 // ScheduleSite is Schedule with a profiler site label: the event's
@@ -181,43 +163,29 @@ func (e *Engine) ScheduleArgAtSite(site Site, at uint64, fn func(any), arg any) 
 }
 
 // Cancel removes a pending event; cancelling an already-fired, already-
-// cancelled or zero handle is a no-op. The removal happens on the owning
-// engine's heap, so cancelling a cross-shard wake inside a merged group is
-// safe.
+// cancelled or zero handle is a no-op. h must have been issued by e.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen || ev.index < 0 {
 		return
 	}
-	ow := ev.owner
-	ow.heap.remove(int(ev.index))
-	ow.release(ev)
+	e.heap.remove(int(ev.index))
+	e.release(ev)
 }
 
-// Stop makes Run return after the current event completes. Stopping any
-// shard of a merged group stops the whole group; in a parallel group the
-// stopping shard's window ends and the coordinator stops at its barrier
-// (other shards finish their current window — the conservative semantics).
+// Stop makes Run return after the current event completes. In a partition
+// group the stopping shard's window ends and the coordinator stops at its
+// barrier (other shards finish their current window — the conservative
+// semantics).
 func (e *Engine) Stop() {
-	if g := e.g; g != nil {
-		if g.mode == Merged {
-			g.stopped = true
-			return
-		}
-		e.stopped = true
-		g.parStop.Store(true)
-		return
-	}
 	e.stopped = true
+	if g := e.g; g != nil {
+		g.parStop.Store(true)
+	}
 }
 
 // Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool {
-	if g := e.g; g != nil && g.mode == Merged {
-		return g.stopped
-	}
-	return e.stopped
-}
+func (e *Engine) Stopped() bool { return e.stopped }
 
 // Run executes events until the queue empties, Stop is called, or the time
 // Limit is exceeded. It returns the final simulation time. A Stop from a
@@ -231,7 +199,7 @@ func (e *Engine) Run() uint64 {
 }
 
 // runLocal is the serial event loop over this engine's own heap — the whole
-// story for a standalone engine, and one shard's share of a parallel window
+// story for a standalone engine, and one shard's share of a group window
 // (the group coordinator bounds it with Limit).
 func (e *Engine) runLocal() uint64 {
 	if e.current != nil {

@@ -34,12 +34,6 @@ type Event struct {
 	index int32  // heap position, -1 while not queued
 	site  Site   // schedule-site label for the cost profiler (SiteMisc default)
 	next  *Event // free-list link while released
-
-	// owner is the engine whose heap and free list hold this event — fixed
-	// at first allocation. In a merged partition group an event can be
-	// cancelled from another shard's code (a cross-shard wake), so Cancel
-	// must reach the owning heap, not the caller's.
-	owner *Engine
 }
 
 // Handle is a cancellable reference to a scheduled event. The zero Handle is

@@ -1,106 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
-
-// script drives one deterministic workload over engs (round-robin placement
-// by index) and returns the observation log: every event records the
-// engine-visible time, the tag, and any RNG draw. The workload mixes plain
-// timers (with same-time cross-shard ties), procs with sleeps, a condition
-// variable whose waiters live on different shards than the signaler, and a
-// cross-shard cancel — every ordering-sensitive engine feature at once.
-func script(engs []*Engine) []string {
-	pick := func(i int) *Engine { return engs[i%len(engs)] }
-	e0 := engs[0]
-	var log []string
-	rec := func(e *Engine, format string, args ...any) {
-		log = append(log, fmt.Sprintf("%d ", e.Now())+fmt.Sprintf(format, args...))
-	}
-
-	cond := NewCond(pick(1))
-	turn := 0
-	for i := 0; i < 5; i++ {
-		e := pick(i)
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(uint64(3 + i%3))
-			rec(e, "w%d awake r=%d", i, e.Rand().Intn(100))
-			for turn != i {
-				cond.Wait(p)
-			}
-			turn++
-			cond.Broadcast()
-			p.Sleep(uint64(2 + i))
-			rec(e, "w%d done", i)
-		})
-	}
-	for i := 0; i < 12; i++ {
-		e := pick(i * 5)
-		j := i
-		e.Schedule(uint64(4+(i%3)), func() { rec(e, "timer %d r=%d", j, e.Rand().Intn(7)) })
-	}
-	// A handle created on one shard, cancelled from an event on another.
-	h := pick(2).Schedule(40, func() { rec(pick(2), "must-not-fire") })
-	pick(3).Schedule(9, func() {
-		pick(0).Cancel(h)
-		rec(pick(3), "cancelled")
-	})
-	end := e0.Run()
-	log = append(log, fmt.Sprintf("end %d pending %d live %d", end, e0.Pending(), e0.LiveProcs()))
-	return log
-}
-
-func runScript(parts int) []string {
-	if parts == 1 {
-		return script([]*Engine{NewEngine(7)})
-	}
-	g := NewMergedGroup(7, parts)
-	engs := make([]*Engine, parts)
-	for i := range engs {
-		engs[i] = g.Shard(i)
-	}
-	return script(engs)
-}
-
-// TestMergedMatchesSerial is the merged-mode contract: any shard count
-// produces the exact serial execution — same dispatch order, same times,
-// same RNG stream — because shards share the clock and sequence counter and
-// the driver pops the global (time, seq) minimum.
-func TestMergedMatchesSerial(t *testing.T) {
-	want := runScript(1)
-	if len(want) < 20 {
-		t.Fatalf("script too small to be a meaningful check: %d entries", len(want))
-	}
-	for _, parts := range []int{2, 3, 5} {
-		got := runScript(parts)
-		if len(got) != len(want) {
-			t.Fatalf("parts=%d: %d log entries, serial has %d", parts, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("parts=%d: entry %d = %q, serial has %q", parts, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestMergedRunUntil checks limit semantics through a merged group: time
-// parks exactly at the limit with the future event still queued.
-func TestMergedRunUntil(t *testing.T) {
-	g := NewMergedGroup(1, 2)
-	fired := false
-	g.Shard(1).Schedule(100, func() { fired = true })
-	if end := g.Shard(0).RunUntil(50); end != 50 {
-		t.Fatalf("RunUntil(50) = %d", end)
-	}
-	if fired || g.Shard(0).Pending() != 1 {
-		t.Fatalf("event fired early or lost: fired=%v pending=%d", fired, g.Shard(0).Pending())
-	}
-	if end := g.Shard(0).Run(); end != 100 || !fired {
-		t.Fatalf("resume: end=%d fired=%v", end, fired)
-	}
-}
+import "testing"
 
 // parNode is one logical node of the parallel-mode test model: an
 // open-loop sender plus two receive accumulators — an order-sensitive hash
@@ -243,20 +143,12 @@ func TestGroupStats(t *testing.T) {
 	g.Shard(0).Schedule(1, func() {})
 	g.Shard(0).Schedule(100, func() {})
 	st := g.Stats()
-	if st.Mode != Parallel || len(st.Shards) != 2 || st.Shards[0].HeapDepth != 2 {
+	if len(st.Shards) != 2 || st.Shards[0].HeapDepth != 2 {
 		t.Fatalf("pre-run stats wrong: %+v", st)
 	}
 	g.Shard(0).Run()
 	st = g.Stats()
 	if st.Barriers == 0 || st.Shards[1].BarrierWaits == 0 {
 		t.Fatalf("post-run stats wrong: %+v", st)
-	}
-
-	m := NewMergedGroup(1, 3)
-	m.Shard(2).Schedule(7, func() {})
-	m.Shard(0).Run()
-	ms := m.Stats()
-	if ms.Mode != Merged || ms.Horizon != 7 || ms.Shards[2].Now != 7 {
-		t.Fatalf("merged stats wrong: %+v", ms)
 	}
 }

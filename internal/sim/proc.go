@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"context"
-	"fmt"
-	"runtime/pprof"
-	"strconv"
-)
+import "fmt"
 
 // Proc is a simulated coroutine: a goroutine that runs only while it holds
 // the engine baton. Procs yield the baton by parking (Park, Sleep) and are
@@ -44,21 +39,13 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		baton: make(chan struct{}),
 	}
 	e.live++
-	body := func() {
+	go func() {
 		<-p.baton
 		fn(p)
 		p.done = true
 		e.live--
 		p.baton <- struct{}{}
-	}
-	if e.g != nil {
-		// Partitioned engines label their proc goroutines so a CPU profile
-		// slices by partition (composing with inherited experiment/point
-		// labels from the harness worker that built the machine).
-		go pprof.Do(context.Background(), pprof.Labels("partition", strconv.Itoa(e.part)), func(context.Context) { body() })
-	} else {
-		go body()
-	}
+	}()
 	p.wake = e.scheduleProc(0, p)
 	return p
 }
@@ -106,10 +93,6 @@ func (p *Proc) park() {
 	e := p.eng
 	if e.current != p {
 		panic(fmt.Sprintf("sim: %s parking without the baton", p.name))
-	}
-	if g := e.g; g != nil && g.mode == Merged {
-		p.parkMerged(g)
-		return
 	}
 	e.current = nil
 	p.chained = true
@@ -159,61 +142,6 @@ func (p *Proc) park() {
 	e.current = p
 }
 
-// parkMerged is park's inline loop generalized to a merged partition group:
-// identical protocol (chained-ancestor unwinding, in-place resume of the
-// proc's own wake, inline callbacks), but the next event is the global
-// (time, seq) minimum across every shard heap and the shared clock
-// advances. A dispatched proc may live on any shard; its own engine runs
-// the handoff, so the chain can cross shards and still unwind link by link.
-func (p *Proc) parkMerged(g *Group) {
-	e := p.eng
-	e.current = nil
-	p.chained = true
-	for !g.stopped {
-		sh := g.minShard()
-		if sh == nil {
-			break
-		}
-		ev := sh.heap.peek()
-		if g.limit != 0 && ev.at > g.limit {
-			break
-		}
-		if q := ev.proc; q != nil && q != p && q.chained {
-			break // wake for an ancestor: unwind the chain to it
-		}
-		sh.heap.pop()
-		if ev.at < g.now {
-			panic("sim: event queue went backwards")
-		}
-		g.now = ev.at
-		sh.events.Inc()
-		if sh.prof != nil {
-			sh.prof.tick(ev.site, g.now)
-		}
-		if q := ev.proc; q != nil {
-			sh.release(ev)
-			if q == p {
-				p.wake = Handle{}
-				p.chained = false
-				e.current = p
-				return
-			}
-			q.eng.dispatch(q)
-		} else if fn := ev.fn; fn != nil {
-			sh.release(ev)
-			fn()
-		} else {
-			fn, arg := ev.fnArg, ev.arg
-			sh.release(ev)
-			fn(arg)
-		}
-	}
-	p.chained = false
-	p.baton <- struct{}{}
-	<-p.baton
-	e.current = p
-}
-
 // Park blocks the proc until some event wakes it via Engine.Wake or
 // Engine.WakeAfter. The caller must have arranged for such a wake, or the
 // proc will sleep forever (and LiveProcs will expose the leak).
@@ -254,7 +182,7 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Done() bool { return p.done }
 
 // Now is a convenience for p.Engine().Now().
-func (p *Proc) Now() uint64 { return p.eng.Now() }
+func (p *Proc) Now() uint64 { return p.eng.now }
 
 // Wake schedules p to be dispatched at the current simulation time. It is
 // the only way code outside a proc hands it the baton. Waking a proc that

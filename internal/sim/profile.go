@@ -135,7 +135,7 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 func (e *Engine) UseProfiler(p *Profiler) {
 	e.prof = p
 	if p != nil {
-		p.attachAt(e.Now())
+		p.attachAt(e.now)
 	}
 }
 
