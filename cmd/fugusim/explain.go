@@ -1,12 +1,9 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
 
 	"fugu/internal/harness"
@@ -14,10 +11,10 @@ import (
 	"fugu/internal/spans"
 )
 
-// explainCmd implements `fugusim explain`: replay one sweep point serially
-// with the message-lifecycle span recorder and the engine cost profiler
-// installed, then render the latency anatomy — where a message's cycles go
-// (the per-stage dwell waterfall with percentiles), which (policy, stage,
+// explainCmd implements `fugusim explain`: replay one sweep point with the
+// message-lifecycle span recorder and the engine cost profiler installed,
+// then render the latency anatomy — where a message's cycles go (the
+// per-stage dwell waterfall with percentiles), which (policy, stage,
 // cause) buckets dominate, which destination nodes and source→destination
 // links run hot, the slowest messages with their full stage timelines, and
 // which schedule sites the engine itself spends its time on. The dwell
@@ -25,76 +22,21 @@ import (
 // latency) is checked along with the delivery invariants; a violation exits
 // with status 1, so CI can replay a point and assert the anatomy holds.
 func explainCmd(args []string) {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	common := registerCommon(fs)
-	point := fs.Int("point", 0, "sweep point index to replay (see -list)")
-	listPts := fs.Bool("list", false, "list the experiment's sweep points and exit")
-	topK := fs.Int("topk", 8, fmt.Sprintf("slowest messages to list with timelines (max %d)", spans.TopK))
-	links := fs.Int("links", 8, "hottest src->dst links to list")
-	out := fs.String("o", "-", "also write the report to this path (- means stdout only)")
-	folded := fs.String("folded", "", "write the engine cost profile as folded stacks (flamegraph input) to this path")
-	force := fs.Bool("force", false, "overwrite existing -o/-folded output files")
-	allocs := fs.Bool("allocs", false, "also attribute heap allocations per schedule site (slower)")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fugusim explain [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", harness.Names())
-		fs.PrintDefaults()
-	}
-	names := parseInterleaved(fs, args)
-	if len(names) != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	common.resolve()
+	r := newReplay("explain")
+	topK := r.fs.Int("topk", 8, fmt.Sprintf("slowest messages to list with timelines (max %d)", spans.TopK))
+	links := r.fs.Int("links", 8, "hottest src->dst links to list")
+	out := r.fs.String("o", "-", "also write the report to this path (- means stdout only)")
+	folded := r.fs.String("folded", "", "write the engine cost profile as folded stacks (flamegraph input) to this path")
+	allocs := r.fs.Bool("allocs", false, "also attribute heap allocations per schedule site (slower)")
+	name := r.parse(args)
 
 	rec := spans.NewRecorder(nil)
 	prof := sim.NewProfiler(sim.ProfilerConfig{Wall: true, Allocs: *allocs})
-	opts := append(common.harnessOptions(),
-		harness.WithTrials(1), harness.WithParallelism(1),
-		harness.WithSpans(rec), harness.WithProfiler(prof))
-	opt := harness.NewOptions(opts...)
-	exp, pts, sel, err := resolvePoint(names[0], pointIndex(*point, *listPts), opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(2)
-	}
-	if *listPts {
-		listPoints(os.Stdout, pts)
-		return
-	}
+	p := r.run(name, []string{*out, *folded}, harness.WithSpans(rec), harness.WithProfiler(prof))
 
-	// Refuse clobbering outputs before the replay, not after (see doctor).
-	for _, path := range []string{*out, *folded} {
-		if err := prepareOutputPath(path, *force); err != nil {
-			fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	pt := *sel
-	fmt.Fprintf(os.Stderr, "explain: replaying %s point %d (%s) seed=%#x\n",
-		exp.Name, *point, pt.Label, opt.Seed)
-	res, err := pt.Run(ctx, opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %s (%s): %v\n", exp.Name, pt.Label, err)
-		os.Exit(1)
-	}
-
-	var problems []string
-	if mc, ok := res.(harness.MetricsCarrier); ok {
-		snap := mc.MetricsSnapshot()
-		if *common.metricsDir != "" {
-			writeMetrics(*common.metricsDir, exp.Name)(snap)
-		}
-		problems = rec.Check(snap.Counters["glaze.deliver.fast"], snap.Counters["glaze.deliver.buffered"])
-	} else {
-		problems = rec.Check(rec.Counts().Fast, rec.Counts().Inserts)
-	}
-
+	problems := checkSpans(rec, p)
 	var b strings.Builder
-	fmt.Fprintf(&b, "explain: %s point %d (%s) seed=%#x\n", exp.Name, *point, pt.Label, opt.Seed)
+	fmt.Fprintf(&b, "explain: %s\n", p)
 	fmt.Fprintf(&b, "%s\n\n", rec.Summary())
 	writeWaterfall(&b, rec)
 	writeAnatomy(&b, rec)
@@ -105,21 +47,11 @@ func explainCmd(args []string) {
 	for _, p := range problems {
 		fmt.Fprintf(&b, "\nPROBLEM: %s\n", p)
 	}
-
-	emit := func(path, text string) {
-		if werr := os.WriteFile(path, []byte(text), 0o644); werr != nil {
-			fmt.Fprintf(os.Stderr, "fugusim: %v\n", werr)
-			os.Exit(1)
-		}
-	}
-	fmt.Print(b.String())
-	if *out != "-" && *out != "" {
-		emit(*out, b.String())
-	}
+	writeOutput(*out, b.String(), true)
 	if *folded != "" {
 		var fb strings.Builder
 		prof.Snapshot().WriteFolded(&fb)
-		emit(*folded, fb.String())
+		writeOutput(*folded, fb.String(), false)
 	}
 	if len(problems) > 0 {
 		fmt.Fprintf(os.Stderr, "explain: %d invariant violation(s)\n", len(problems))

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"fugu/internal/delivery"
-	"fugu/internal/glaze"
 	"fugu/internal/harness"
 	"fugu/internal/niq"
 	"fugu/internal/telemetry"
@@ -74,16 +73,14 @@ func (c *commonFlags) resolve() {
 	if *c.policyName != "" {
 		pol, err := delivery.ByName(*c.policyName)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 		c.policy = pol
 	}
 	if *c.niqSpec != "" {
 		spec, err := niq.ParseSpec(*c.niqSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 		c.queue = spec
 	}
@@ -153,55 +150,30 @@ func (c *commonFlags) writeTimelines(name string, tls []telemetry.LabeledTimelin
 		err = harness.WriteCSV(*c.timelineDir, name+".timeline.jsonl", jsonB.String())
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: timeline: %v\n", err)
-		os.Exit(1)
+		fatal(1, fmt.Errorf("timeline: %w", err))
 	}
 }
 
 // vetArtifacts refuses pre-existing -metrics/-timeline artifact files for
-// the named experiments before the run starts, unless force is set — the
-// same refuse-overwrite treatment trace and doctor give -o, so a long sweep
-// can never end by silently destroying the previous run's exports.
-func (c *commonFlags) vetArtifacts(force bool, names ...string) error {
-	for _, name := range names {
+// the given experiments before the run starts, unless force is set — the
+// same refuse-overwrite treatment the replay commands give -o, so a long
+// sweep can never end by silently destroying the previous run's exports.
+func (c *commonFlags) vetArtifacts(force bool, exps ...*harness.Experiment) error {
+	for _, exp := range exps {
 		if *c.metricsDir != "" {
 			for _, suffix := range []string{".metrics.json", ".metrics.csv"} {
-				if err := prepareOutputPath(filepath.Join(*c.metricsDir, name+suffix), force); err != nil {
+				if err := prepareOutputPath(filepath.Join(*c.metricsDir, exp.Name+suffix), force); err != nil {
 					return err
 				}
 			}
 		}
 		if *c.timelineDir != "" {
 			for _, suffix := range []string{".timeline.csv", ".timeline.jsonl"} {
-				if err := prepareOutputPath(filepath.Join(*c.timelineDir, name+suffix), force); err != nil {
+				if err := prepareOutputPath(filepath.Join(*c.timelineDir, exp.Name+suffix), force); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// configMut returns a machine-config mutator applying the shared flags to
-// workloads driven outside the harness Options path (the bench runners), or
-// nil when the machine defaults already match. Each invocation installs a
-// fresh flight recorder, so a mutator reused across machines still keeps
-// per-machine timelines independent.
-func (c *commonFlags) configMut() func(*glaze.Config) {
-	tc := c.telemetryConfig()
-	if c.policy == nil && c.queue.Model == "" && !tc.Enabled() {
-		return nil
-	}
-	pol, queue := c.policy, c.queue
-	return func(cfg *glaze.Config) {
-		if pol != nil {
-			cfg.Delivery = pol
-		}
-		if queue.Model != "" {
-			cfg.NIConfig.Queue = queue
-		}
-		if tc.Enabled() {
-			cfg.Telemetry = telemetry.NewRecorder(tc)
-		}
-	}
 }

@@ -9,8 +9,6 @@
 //	fugusim trace [flags] <experiment>
 //	fugusim doctor [flags] <experiment>
 //	fugusim explain [flags] <experiment>
-//	fugusim crucible [flags]
-//	fugusim bufferlab [flags]
 //	fugusim watch [flags] <experiment>
 //
 // Experiments are discovered from the harness registry (`fugusim list`
@@ -20,34 +18,37 @@
 // index, not completion order. Flags may appear before or after experiment
 // names (`fugusim run fig9 -quick -metrics out/`).
 //
-// `run -metrics <dir>` writes each experiment's merged registry snapshot
-// (every point machine's counters, gauges and histograms) as
-// <experiment>.metrics.json and .csv. `trace` runs one sweep point serially
-// with an event log installed and exports it as Chrome trace_event JSON
-// (chrome://tracing, Perfetto) or JSON Lines. `doctor` replays one sweep
-// point under the message-lifecycle span recorder and the liveness
-// watchdog, then checks delivery invariants; a wedged run terminates with
-// a diagnostic report (exit status 3) instead of hanging. `explain` replays
-// one sweep point with the span recorder and the engine cost profiler and
-// renders the latency anatomy: the per-stage dwell waterfall, dwell broken
-// down by (policy, stage, cause), per-node and per-link heat, the slowest
-// messages with their stage timelines, and the engine's own cost by
-// schedule site (with `-folded` emitting flamegraph input). `crucible` runs
-// the deterministic fault-injection sweep — every named fault plan across
-// -trials seeds — and fails unless every delivery oracle passes and every
-// second-case cause was forced at least once. `bufferlab` runs the NI
-// buffer-economics sweep — queue model × allocation policy × fault plan at
-// equal total slots (`-niq` selects a queue organization on any other
-// subcommand) — and fails unless every oracle passes and a shared
-// organization beats the static FIFO on overflow rate. `watch` replays one sweep
-// point serially with interval sampling enabled and streams a live
-// terminal dashboard (fast/buffered deliveries, queue depths, pinned
-// pages, NACKs, per-node mode glyphs) as simulated time advances.
+// `run` is the only sweep command. After printing an experiment (and
+// writing its -csv files) it enforces the experiment's verdict and exits 1
+// if a claim failed: the crucible fault-injection sweep must pass every
+// delivery oracle and force every second-case cause its -policy can
+// express, the policy lab must pass every oracle, and the NI
+// buffer-economics sweep (bufferlab; `-niq` selects a queue organization on
+// any subcommand) must pass every oracle with a shared organization beating
+// the static FIFO on overflow rate. `run -metrics <dir>` writes each
+// experiment's merged registry snapshot (every point machine's counters,
+// gauges and histograms) as <experiment>.metrics.json and .csv.
 //
-// `-timeline <dir>` (run, crucible, bench) enables the flight recorder on
-// every point machine and writes each experiment's per-interval timelines
-// as <experiment>.timeline.csv and .jsonl; `-timeline-every` tunes the
-// sampling interval in simulated cycles.
+// `trace`, `doctor`, `explain` and `watch` replay one sweep point serially
+// under extra observers. `trace` installs an event log and exports it as
+// Chrome trace_event JSON (chrome://tracing, Perfetto) or JSON Lines.
+// `doctor` installs the message-lifecycle span recorder and the liveness
+// watchdog, then checks delivery invariants; a wedged run terminates with a
+// diagnostic report (exit status 3) instead of hanging. `explain` installs
+// the span recorder and the engine cost profiler and renders the latency
+// anatomy: the per-stage dwell waterfall, dwell broken down by (policy,
+// stage, cause), per-node and per-link heat, the slowest messages with
+// their stage timelines, and the engine's own cost by schedule site (with
+// `-folded` emitting flamegraph input). `watch` enables interval sampling
+// and streams a live terminal dashboard (fast/buffered deliveries, queue
+// depths, pinned pages, NACKs, per-node mode glyphs) as simulated time
+// advances.
+//
+// `-timeline <dir>` (every subcommand but list) enables the flight recorder
+// on every point machine and writes each experiment's per-interval
+// timelines as <experiment>.timeline.csv and .jsonl; `-timeline-every`
+// tunes the sampling interval in simulated cycles. Existing -metrics and
+// -timeline files are refused before the run unless -force is given.
 //
 // Quick mode (default) scales workloads down so the whole suite runs in
 // minutes; -full uses the paper's sizes. This command is the only place
@@ -58,19 +59,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"fugu/internal/glaze"
 	"fugu/internal/harness"
 	"fugu/internal/metrics"
-	"fugu/internal/spans"
 	"fugu/internal/telemetry"
-	"fugu/internal/trace"
 )
 
 func main() {
@@ -86,12 +82,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage:\n")
 		fmt.Fprintf(os.Stderr, "  fugusim list\n")
 		fmt.Fprintf(os.Stderr, "  fugusim run [flags] <experiment>... | all\n")
-		fmt.Fprintf(os.Stderr, "  fugusim bench [flags]\n")
 		fmt.Fprintf(os.Stderr, "  fugusim trace [flags] <experiment>\n")
 		fmt.Fprintf(os.Stderr, "  fugusim doctor [flags] <experiment>\n")
 		fmt.Fprintf(os.Stderr, "  fugusim explain [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "  fugusim crucible [flags]\n")
-		fmt.Fprintf(os.Stderr, "  fugusim bufferlab [flags]\n")
 		fmt.Fprintf(os.Stderr, "  fugusim watch [flags] <experiment>\n")
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", harness.Names())
 		flag.PrintDefaults()
@@ -107,9 +100,6 @@ func main() {
 	case "list":
 		list(os.Stdout)
 		return
-	case "bench":
-		benchCmd(flag.Args()[1:])
-		return
 	case "trace":
 		traceCmd(flag.Args()[1:])
 		return
@@ -118,12 +108,6 @@ func main() {
 		return
 	case "explain":
 		explainCmd(flag.Args()[1:])
-		return
-	case "crucible":
-		crucibleCmd(flag.Args()[1:])
-		return
-	case "bufferlab":
-		bufferlabCmd(flag.Args()[1:])
 		return
 	case "watch":
 		watchCmd(flag.Args()[1:])
@@ -141,14 +125,16 @@ func main() {
 		os.Exit(2)
 	}
 	common.resolve()
-	names = expandNames(names)
+	exps, err := expandNames(names)
+	if err != nil {
+		fatal(2, err)
+	}
 
 	// Refuse clobbering -metrics/-timeline artifacts before the sweep, not
 	// after: destroying the previous exports as the final act of a long run
 	// is the worst order.
-	if err := common.vetArtifacts(*force, names...); err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(2)
+	if err := common.vetArtifacts(*force, exps...); err != nil {
+		fatal(2, err)
 	}
 
 	opts := append(common.harnessOptions(), harness.WithParallelism(*jobs))
@@ -158,8 +144,7 @@ func main() {
 
 	stopProf, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	defer stopProf()
 
@@ -177,12 +162,7 @@ func main() {
 		}
 	}
 
-	for _, name := range names {
-		exp, ok := harness.Lookup(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "fugusim: unknown experiment %q (try `fugusim list`)\n", name)
-			os.Exit(2)
-		}
+	for _, exp := range exps {
 		if *common.metricsDir != "" {
 			runner.OnMetrics = writeMetrics(*common.metricsDir, exp.Name)
 		}
@@ -192,8 +172,7 @@ func main() {
 		fmt.Printf("== %s ==\n", exp.Name)
 		res, err := runner.Run(ctx, exp, opts...)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fugusim: %s: %v\n", exp.Name, err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("%s: %w", exp.Name, err))
 		}
 		common.writeTimelines(exp.Name, tls)
 		res.Print(os.Stdout)
@@ -202,23 +181,27 @@ func main() {
 			if csv, ok := res.(harness.CSVer); ok {
 				for file, content := range csv.CSVFiles() {
 					if err := harness.WriteCSV(*csvDir, file, content); err != nil {
-						fmt.Fprintf(os.Stderr, "fugusim: csv: %v\n", err)
-						os.Exit(1)
+						fatal(1, fmt.Errorf("csv: %w", err))
 					}
 				}
 			}
 		}
-		// Oracle-bearing experiments (crucible, policylab) report violations
-		// through Problems; surface them as a failing exit so CI runs of
-		// `fugusim run` enforce them, not just the dedicated subcommand.
-		if pr, ok := res.(interface{ Problems() []string }); ok {
-			if problems := pr.Problems(); len(problems) > 0 {
-				fmt.Fprintf(os.Stderr, "fugusim: %s: %d oracle violation(s)\n",
-					exp.Name, len(problems))
+		if exp.Verdict != nil {
+			if failed := exp.Verdict(res); len(failed) > 0 {
+				for _, line := range failed {
+					fmt.Fprintf(os.Stderr, "fugusim: %s: %s\n", exp.Name, line)
+				}
 				os.Exit(1)
 			}
 		}
 	}
+}
+
+// fatal reports err on stderr and exits with the given status: 2 for bad
+// usage, 1 for a failed run.
+func fatal(code int, err error) {
+	fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
+	os.Exit(code)
 }
 
 // writeMetrics returns the Runner hook that saves an experiment's merged
@@ -230,265 +213,9 @@ func writeMetrics(dir, name string) func(metrics.Snapshot) {
 			err = harness.WriteCSV(dir, name+".metrics.csv", s.CSV())
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fugusim: metrics: %v\n", err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("metrics: %w", err))
 		}
 	}
-}
-
-// traceCmd implements `fugusim trace`: run one sweep point of an experiment
-// serially with an event log installed, then export the timeline.
-func traceCmd(args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	common := registerCommon(fs)
-	cats := fs.String("cats", "", "comma-separated categories to record (default all): mode,sched,overflow,message,span")
-	out := fs.String("o", "-", "output path (- writes to stdout)")
-	force := fs.Bool("force", false, "overwrite an existing -o output file")
-	jsonl := fs.Bool("jsonl", false, "emit JSON Lines instead of Chrome trace_event JSON")
-	point := fs.Int("point", 0, "sweep point index to trace (see -list)")
-	listPts := fs.Bool("list", false, "list the experiment's sweep points and exit")
-	capN := fs.Int("cap", 1<<16, "event ring capacity; oldest events beyond it are dropped")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fugusim trace [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", harness.Names())
-		fs.PrintDefaults()
-	}
-	names := parseInterleaved(fs, args)
-	if len(names) != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	common.resolve()
-
-	enabled, err := trace.ParseCats(*cats)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(2)
-	}
-	log := trace.New(*capN)
-	log.Enable(enabled...)
-
-	opts := append(common.harnessOptions(),
-		harness.WithTrials(1), harness.WithParallelism(1), harness.WithTrace(log))
-	opt := harness.NewOptions(opts...)
-	exp, pts, sel, err := resolvePoint(names[0], pointIndex(*point, *listPts), opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(2)
-	}
-	if *listPts {
-		listPoints(os.Stdout, pts)
-		return
-	}
-
-	// Refuse a clobbering -o before the run, not after: destroying the
-	// previous trace as the final act of a long replay is the worst order.
-	if err := prepareOutputPath(*out, *force); err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(2)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	pt := *sel
-	fmt.Fprintf(os.Stderr, "tracing %s point %d (%s)\n", exp.Name, *point, pt.Label)
-	res, err := pt.Run(ctx, opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %s (%s): %v\n", exp.Name, pt.Label, err)
-		os.Exit(1)
-	}
-	if *common.metricsDir != "" {
-		if mc, ok := res.(harness.MetricsCarrier); ok {
-			writeMetrics(*common.metricsDir, exp.Name)(mc.MetricsSnapshot())
-		}
-	}
-
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	if *jsonl {
-		err = log.WriteJSONL(w)
-	} else {
-		err = log.WriteChromeTrace(w)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: trace export: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "%d events recorded (%d retained, %d dropped)\n",
-		log.Total(), log.Total()-log.Dropped(), log.Dropped())
-}
-
-// pointIndex turns a -list invocation into the sentinel index resolvePoint
-// treats as "enumerate only".
-func pointIndex(point int, listOnly bool) int {
-	if listOnly {
-		return -1
-	}
-	return point
-}
-
-// resolvePoint resolves the (experiment, sweep point) target shared by
-// `fugusim trace` and `fugusim doctor`: look the experiment up, enumerate
-// its sweep for the given options, and select the point by index. A
-// negative index skips selection (the -list path wants the enumeration
-// only) and returns a nil point.
-func resolvePoint(name string, index int, opt harness.Options) (*harness.Experiment, []harness.Point, *harness.Point, error) {
-	exp, ok := harness.Lookup(name)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("unknown experiment %q (try `fugusim list`)", name)
-	}
-	pts := exp.Points(opt)
-	if index < 0 {
-		return exp, pts, nil, nil
-	}
-	if index >= len(pts) {
-		return exp, pts, nil, fmt.Errorf("point %d out of range (%s has %d points; see -list)",
-			index, name, len(pts))
-	}
-	return exp, pts, &pts[index], nil
-}
-
-// listPoints prints a sweep enumeration, one indexed point per line.
-func listPoints(w io.Writer, pts []harness.Point) {
-	for i, pt := range pts {
-		fmt.Fprintf(w, "%3d  %s\n", i, pt.Label)
-	}
-}
-
-// doctorCmd implements `fugusim doctor`: replay one sweep point serially
-// with the span recorder and liveness watchdog installed, then check the
-// delivery invariants (every injected message reached exactly one terminal
-// state, and span counts reconcile with the delivery counters). A watchdog
-// firing prints the diagnostic report — per-node run-queue and buffer
-// state, in-flight spans, the waits-for graph — and exits with status 3.
-func doctorCmd(args []string) {
-	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
-	common := registerCommon(fs)
-	point := fs.Int("point", 0, "sweep point index to replay (see -list)")
-	listPts := fs.Bool("list", false, "list the experiment's sweep points and exit")
-	// The stall threshold (interval*grace) must exceed the longest healthy
-	// quiet phase; the gang quantum is 500k cycles, and a descheduled job
-	// legitimately makes no delivery progress for a whole quantum, so the
-	// default threshold is two quanta.
-	interval := fs.Uint64("interval", 200_000, "watchdog check interval in cycles")
-	grace := fs.Int("grace", 5, "consecutive stale watchdog checks before firing (stall threshold = interval*grace)")
-	out := fs.String("o", "-", "also write the report/diagnosis to this path (- means stdout only)")
-	force := fs.Bool("force", false, "overwrite an existing -o report file")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fugusim doctor [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", harness.Names())
-		fs.PrintDefaults()
-	}
-	names := parseInterleaved(fs, args)
-	if len(names) != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	common.resolve()
-
-	rec := spans.NewRecorder(nil)
-	opts := append(common.harnessOptions(),
-		harness.WithTrials(1), harness.WithParallelism(1), harness.WithSpans(rec),
-		harness.WithWatchdog(glaze.WatchdogConfig{Interval: *interval, Grace: *grace}))
-	opt := harness.NewOptions(opts...)
-	exp, pts, sel, err := resolvePoint(names[0], pointIndex(*point, *listPts), opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(2)
-	}
-	if *listPts {
-		listPoints(os.Stdout, pts)
-		return
-	}
-
-	// Refuse a clobbering -o before the replay, not after: a long run that
-	// ends by destroying the previous diagnosis is the worst failure order.
-	if err := prepareOutputPath(*out, *force); err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(2)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	pt := *sel
-	fmt.Fprintf(os.Stderr, "doctor: replaying %s point %d (%s) seed=%#x\n",
-		exp.Name, *point, pt.Label, opt.Seed)
-	res, err := pt.Run(ctx, opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %s (%s): %v\n", exp.Name, pt.Label, err)
-		os.Exit(1)
-	}
-
-	emit := func(text string) {
-		fmt.Print(text)
-		if *out != "-" {
-			if werr := os.WriteFile(*out, []byte(text), 0o644); werr != nil {
-				fmt.Fprintf(os.Stderr, "fugusim: %v\n", werr)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if rep := rec.Report(); rep != nil {
-		emit(rep.String())
-		fmt.Fprintf(os.Stderr, "doctor: watchdog fired — see report above\n")
-		os.Exit(3)
-	}
-
-	var problems []string
-	if mc, ok := res.(harness.MetricsCarrier); ok {
-		snap := mc.MetricsSnapshot()
-		if *common.metricsDir != "" {
-			writeMetrics(*common.metricsDir, exp.Name)(snap)
-		}
-		problems = rec.Check(snap.Counters["glaze.deliver.fast"], snap.Counters["glaze.deliver.buffered"])
-	} else {
-		// No snapshot to reconcile against: still require terminal states.
-		fmt.Fprintf(os.Stderr, "doctor: point result carries no metrics snapshot; span/metrics reconciliation skipped\n")
-		problems = rec.Check(rec.Counts().Fast, rec.Counts().Inserts)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "doctor: %s point %d (%s) seed=%#x\n", exp.Name, *point, pt.Label, opt.Seed)
-	fmt.Fprintf(&b, "%s\n", rec.Summary())
-	if len(problems) == 0 {
-		fmt.Fprintf(&b, "doctor: OK — all spans terminal, counts reconcile with delivery counters\n")
-		emit(b.String())
-		return
-	}
-	for _, p := range problems {
-		fmt.Fprintf(&b, "PROBLEM: %s\n", p)
-	}
-	emit(b.String())
-	os.Exit(1)
-}
-
-// prepareOutputPath vets a report destination before a long run: "-" (or
-// empty) means stdout and needs nothing; otherwise the parent directory is
-// created and an already-existing file is refused unless force is set, so a
-// replay can never silently destroy the previous diagnosis.
-func prepareOutputPath(path string, force bool) error {
-	if path == "-" || path == "" {
-		return nil
-	}
-	if _, err := os.Stat(path); err == nil {
-		if !force {
-			return fmt.Errorf("output file %s already exists (use -force to overwrite)", path)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		return os.MkdirAll(dir, 0o755)
-	}
-	return nil
 }
 
 // parseInterleaved parses flags that may appear before, between or after
@@ -518,28 +245,31 @@ func list(w *os.File) {
 	}
 }
 
-// expandNames resolves "all" and the legacy fig7/fig8 aliases (both are
-// backed by the shared fig7and8 sweep), dropping duplicates.
-func expandNames(names []string) []string {
-	var out []string
+// expandNames resolves the command-line names to experiments: "all" expands
+// to the registry, the legacy fig7/fig8 aliases map to the shared fig7and8
+// sweep, and duplicates drop. Any unknown name is an error, so a typo fails
+// before anything runs.
+func expandNames(names []string) ([]*harness.Experiment, error) {
+	var out []*harness.Experiment
 	seen := map[string]bool{}
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
 	for _, n := range names {
+		expanded := []string{n}
 		switch n {
 		case "all":
-			for _, reg := range harness.Names() {
-				add(reg)
-			}
+			expanded = harness.Names()
 		case "fig7", "fig8":
-			add("fig7and8")
-		default:
-			add(n)
+			expanded = []string{"fig7and8"}
+		}
+		for _, name := range expanded {
+			exp, ok := harness.Lookup(name)
+			if !ok {
+				return nil, fmt.Errorf("unknown experiment %q (try `fugusim list`)", name)
+			}
+			if !seen[name] {
+				seen[name] = true
+				out = append(out, exp)
+			}
 		}
 	}
-	return out
+	return out, nil
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // startProfiles starts a CPU profile and/or arms an exit-time heap profile,
-// as requested by the -cpuprofile/-memprofile flags shared by `run` and
-// `bench`. It returns the stop function the caller must defer: it stops the
-// CPU profile and writes the heap profile (after a GC, so the profile shows
-// live retention rather than garbage).
+// as requested by `run`'s -cpuprofile/-memprofile flags. It returns the
+// stop function the caller must defer: it stops the CPU profile and writes
+// the heap profile (after a GC, so the profile shows live retention rather
+// than garbage).
 func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

@@ -1,11 +1,7 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 
 	"fugu/internal/harness"
 	"fugu/internal/spans"
@@ -16,36 +12,23 @@ import (
 // so a long scroll never strands the reader without column names.
 const watchHeaderEvery = 20
 
-// watchCmd implements `fugusim watch`: replay one sweep point serially with
-// interval sampling enabled and stream a dashboard row per interval as
-// simulated time advances — per-interval fast/buffered deliveries, buffer
+// watchCmd implements `fugusim watch`: replay one sweep point with interval
+// sampling enabled and stream a dashboard row per interval as simulated
+// time advances — per-interval fast/buffered deliveries, buffer
 // inserts, overflow trips, NACKs, pinned buffer pages, NI queue depths,
 // handler spans in flight and the per-node delivery-mode glyph string. The
 // stream is the flight recorder's OnSample hook, so what scrolls past is
 // exactly what `-timeline` would export; simulated time, not wall clock,
 // paces the rows.
 func watchCmd(args []string) {
-	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	common := registerCommon(fs)
-	point := fs.Int("point", 0, "sweep point index to watch (see -list)")
-	listPts := fs.Bool("list", false, "list the experiment's sweep points and exit")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fugusim watch [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", harness.Names())
-		fs.PrintDefaults()
-	}
-	names := parseInterleaved(fs, args)
-	if len(names) != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	common.resolve()
+	r := newReplay("watch")
+	name := r.parse(args)
 
 	// Watching forces sampling on even without -timeline flags; the shared
 	// flags still tune interval and ring capacity when given.
-	tc := common.telemetryConfig()
+	tc := r.common.telemetryConfig()
 	if !tc.Enabled() {
-		tc = telemetry.Config{Every: telemetry.DefaultEvery, Cap: *common.tlCap}
+		tc = telemetry.Config{Every: telemetry.DefaultEvery, Cap: *r.common.tlCap}
 	}
 	rowN := 0
 	tc.OnSample = func(iv telemetry.Interval) {
@@ -60,43 +43,14 @@ func watchCmd(args []string) {
 
 	// A span recorder feeds the sampler's per-stage dwell totals, so the
 	// dashboard (and any -timeline export) shows dwell drift per interval.
-	rec := spans.NewRecorder(nil)
-	opts := append(common.harnessOptions(),
-		harness.WithTrials(1), harness.WithParallelism(1),
-		harness.WithSpans(rec), harness.WithTelemetry(tc))
-	opt := harness.NewOptions(opts...)
-	exp, pts, sel, err := resolvePoint(names[0], pointIndex(*point, *listPts), opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %v\n", err)
-		os.Exit(2)
-	}
-	if *listPts {
-		listPoints(os.Stdout, pts)
-		return
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	pt := *sel
-	fmt.Fprintf(os.Stderr, "watching %s point %d (%s) every %d cycles\n",
-		exp.Name, *point, pt.Label, tc.Every)
-	res, err := pt.Run(ctx, opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fugusim: %s (%s): %v\n", exp.Name, pt.Label, err)
-		os.Exit(1)
-	}
-	if c, ok := res.(harness.TimelineCarrier); ok {
+	p := r.run(name, nil, harness.WithSpans(spans.NewRecorder(nil)), harness.WithTelemetry(tc))
+	if c, ok := p.res.(harness.TimelineCarrier); ok {
 		if tl := c.TimelineData(); !tl.Empty() {
 			sum := tl.SumCounters()
-			fmt.Printf("watch: %d intervals (%d dropped from ring), final: fast=%d buffered=%d inserts=%d overflow=%d\n",
-				len(tl.Intervals), tl.Dropped,
+			fmt.Printf("watch: %d intervals of %d cycles (%d dropped from ring), final: fast=%d buffered=%d inserts=%d overflow=%d\n",
+				len(tl.Intervals), tc.Every, tl.Dropped,
 				sum["glaze.deliver.fast"], sum["glaze.deliver.buffered"],
 				sum["glaze.buffer.inserts"], sum["glaze.overflow.trips"])
-		}
-	}
-	if *common.metricsDir != "" {
-		if mc, ok := res.(harness.MetricsCarrier); ok {
-			writeMetrics(*common.metricsDir, exp.Name)(mc.MetricsSnapshot())
 		}
 	}
 }

@@ -298,7 +298,19 @@ func bufferLabExperiment() *Experiment {
 			}
 			return res, nil
 		},
+		Verdict: bufferlabVerdict,
 	}
+}
+
+// bufferlabVerdict fails the sweep on any oracle violation and unless a
+// shared organization strictly beat the static FIFO on overflow rate.
+func bufferlabVerdict(res Result) []string {
+	r := res.(BufferLabResult)
+	out := r.Problems()
+	if _, _, _, ok := r.Dominance(); !ok {
+		out = append(out, "no shared queue organization dominated the static FIFO on overflow rate")
+	}
+	return out
 }
 
 // runBufferLab executes one (queue spec, plan, trial) run through the

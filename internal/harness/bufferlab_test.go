@@ -32,10 +32,11 @@ func TestBufferlabDeterminism(t *testing.T) {
 	}
 }
 
-// TestBufferlabEconomics is the in-repo mirror of the CI smoke gate: at the
-// default seed and trial count, every oracle passes under every queue
-// organization, and at least one shared organization strictly beats the
-// static FIFO on aggregate overflow rate at equal slots.
+// TestBufferlabEconomics is the in-repo mirror of the CI lab gate: at the
+// default seed and trial count, the bufferlab Verdict passes — every oracle
+// holds under every queue organization, and at least one shared
+// organization strictly beats the static FIFO on aggregate overflow rate at
+// equal slots.
 func TestBufferlabEconomics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
@@ -44,15 +45,13 @@ func TestBufferlabEconomics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range res.Problems() {
-		t.Errorf("oracle violation: %s", p)
+	exp, _ := Lookup("bufferlab")
+	for _, v := range exp.Verdict(res) {
+		t.Errorf("verdict: %s", v)
 	}
-	fifoRate, best, bestRate, ok := res.Dominance()
-	if !ok {
-		t.Fatalf("no shared organization dominated the static FIFO (fifo overflow %.4f)", fifoRate)
-	}
+	fifoRate, best, bestRate, _ := res.Dominance()
 	if bestRate >= fifoRate {
-		t.Fatalf("dominance reported but %s rate %.4f !< fifo %.4f", best, bestRate, fifoRate)
+		t.Fatalf("best shared organization %q rate %.4f !< fifo %.4f", best, bestRate, fifoRate)
 	}
 	// The static partition must actually be the *worst* place to be under
 	// convergent bursts — that asymmetry is the whole DAMQ literature.

@@ -337,7 +337,22 @@ func crucibleExperiment() *Experiment {
 			}
 			return res, nil
 		},
+		Verdict: crucibleVerdict,
 	}
+}
+
+// crucibleVerdict fails the sweep on any oracle violation and on any
+// second-case cause the policy can express that no run forced.
+func crucibleVerdict(res Result) []string {
+	r := res.(CrucibleResult)
+	out := r.Problems()
+	cov := r.CauseCoverage()
+	for _, cause := range r.RequiredCauses() {
+		if !cov[cause] {
+			out = append(out, fmt.Sprintf("cause %q never forced under policy %s", cause, r.Policy))
+		}
+	}
+	return out
 }
 
 // crucibleHandler is the workload's handler id.

@@ -13,21 +13,18 @@ import (
 	"fugu/internal/spans"
 )
 
-// TestCrucibleSmoke runs the whole quick sweep once and demands what the CI
-// gate demands: every delivery oracle passes and every one of the five
-// second-case causes was forced somewhere in the sweep.
+// TestCrucibleSmoke runs the whole quick sweep once and demands what
+// `fugusim run crucible` demands: the crucible's Verdict — every delivery
+// oracle passes and every one of the five second-case causes was forced
+// somewhere in the sweep — reports nothing.
 func TestCrucibleSmoke(t *testing.T) {
 	res, err := Crucible(WithQuick(), WithTrials(1), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range res.Problems() {
-		t.Errorf("oracle violation: %s", p)
-	}
-	for cause, hit := range res.CauseCoverage() {
-		if !hit {
-			t.Errorf("second-case cause %q never forced in the sweep", cause)
-		}
+	exp, _ := Lookup("crucible")
+	for _, v := range exp.Verdict(res) {
+		t.Errorf("verdict: %s", v)
 	}
 	if len(res.Rows) != len(cruciblePlans()) {
 		t.Errorf("got %d rows, want one per plan (%d)", len(res.Rows), len(cruciblePlans()))
@@ -35,13 +32,15 @@ func TestCrucibleSmoke(t *testing.T) {
 }
 
 // TestCruciblePolicySweep runs the quick sweep under every registered
-// delivery policy: the oracles must hold and every cause the policy can
-// express must be forced. This is the in-repo mirror of the CI matrix that
-// sweeps `fugusim crucible -policy` over the registry.
+// delivery policy: the crucible's Verdict must pass — the oracles hold and
+// every cause the policy can express is forced. This is the in-repo mirror
+// of the CI matrix that sweeps `fugusim run crucible -policy` over the
+// registry.
 func TestCruciblePolicySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
+	exp, _ := Lookup("crucible")
 	for _, name := range delivery.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -56,14 +55,8 @@ func TestCruciblePolicySweep(t *testing.T) {
 			if res.Policy != name {
 				t.Errorf("result policy = %q, want %q", res.Policy, name)
 			}
-			for _, p := range res.Problems() {
-				t.Errorf("oracle violation: %s", p)
-			}
-			cov := res.CauseCoverage()
-			for _, cause := range res.RequiredCauses() {
-				if !cov[cause] {
-					t.Errorf("second-case cause %q never forced under %s", cause, name)
-				}
+			for _, v := range exp.Verdict(res) {
+				t.Errorf("verdict: %s", v)
 			}
 		})
 	}

@@ -49,6 +49,11 @@ type Experiment struct {
 	// Assemble folds the per-point results — results[i] belongs to
 	// Points(opt)[i] — into the experiment's structured result.
 	Assemble func(opt Options, results []any) (Result, error)
+	// Verdict checks the assembled result against the claims the experiment
+	// exists to demonstrate and returns one line per failed claim; empty
+	// means every claim held. `fugusim run` exits nonzero on any line. Nil
+	// means the experiment makes no claim.
+	Verdict func(Result) []string
 }
 
 // registry holds every registered experiment in registration order (the

@@ -206,6 +206,7 @@ func policyLabExperiment() *Experiment {
 			}
 			return res, nil
 		},
+		Verdict: func(res Result) []string { return res.(PolicyLabResult).Problems() },
 	}
 }
 
