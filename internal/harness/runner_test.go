@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fugu/internal/sim"
 )
 
 // sliceResult is the trivial Result test experiments assemble into.
@@ -129,6 +131,54 @@ func TestRunnerPanicIsIsolated(t *testing.T) {
 	}
 	if ran.Load() != n {
 		t.Errorf("only %d/%d points ran: the panic killed sibling work", ran.Load(), n)
+	}
+}
+
+// TestRunnerProcPanicIsIsolated panics inside a simulated proc rather than
+// on the point's own goroutine: the panic must still travel back through
+// the engine to runPoint's recover and fail only that point.
+func TestRunnerProcPanicIsIsolated(t *testing.T) {
+	var ran atomic.Int32
+	const n = 6
+	points := make([]Point, n)
+	for i := range points {
+		i := i
+		points[i] = Point{
+			Label: fmt.Sprintf("p%d", i),
+			Run: func(context.Context, Options) (any, error) {
+				ran.Add(1)
+				e := sim.NewEngine(uint64(i) + 1)
+				e.Spawn("worker", func(p *sim.Proc) {
+					p.Sleep(3)
+					if i == 2 {
+						panic("proc boom at point 2")
+					}
+				})
+				e.Run()
+				return i, nil
+			},
+		}
+	}
+	errs := make(map[string]error)
+	r := &Runner{Progress: func(pr Progress) { errs[pr.Label] = pr.Err }}
+	_, err := r.Run(context.Background(), sliceExperiment(points), WithParallelism(3))
+	if err == nil || !strings.Contains(err.Error(), "p2") {
+		t.Fatalf("err = %v, want the failure of point p2", err)
+	}
+	if ran.Load() != n {
+		t.Errorf("only %d/%d points ran: the proc panic killed sibling work", ran.Load(), n)
+	}
+	for i := 0; i < n; i++ {
+		label := fmt.Sprintf("p%d", i)
+		perr, ok := errs[label]
+		switch {
+		case !ok:
+			t.Errorf("%s reported no progress", label)
+		case i == 2 && (perr == nil || !strings.Contains(perr.Error(), "proc boom at point 2")):
+			t.Errorf("%s: Err = %v, want the proc's panic", label, perr)
+		case i != 2 && perr != nil:
+			t.Errorf("%s: Err = %v, want nil", label, perr)
+		}
 	}
 }
 

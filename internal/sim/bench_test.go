@@ -36,7 +36,9 @@ func BenchmarkScheduleCancel(b *testing.B) {
 
 // BenchmarkScheduleWake measures the proc wake path: a single proc sleeping
 // one cycle at a time. With the park fast path this resumes inline, without
-// any channel handoff, and the proc-carrying wake event allocates nothing.
+// any coroutine switch, and the proc-carrying wake event allocates nothing.
+// It is the number that keeps the inline dispatch chain: were every park a
+// yield to the engine loop, each iteration would pay a yield and a resume.
 func BenchmarkScheduleWake(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("sleeper", func(p *Proc) {
@@ -50,8 +52,9 @@ func BenchmarkScheduleWake(b *testing.B) {
 }
 
 // BenchmarkBatonRoundTrip measures a cross-proc switch: two procs waking
-// each other alternately, the pattern the baton protocol pays goroutine
-// handoffs for (a parking proc dispatches the next one directly).
+// each other alternately, the pattern the baton protocol pays coroutine
+// switches for (a parking proc resumes the next one directly, and that one
+// yields back when the wake it finds is for its parked ancestor).
 func BenchmarkBatonRoundTrip(b *testing.B) {
 	e := NewEngine(1)
 	var pa, pb *Proc
@@ -77,6 +80,20 @@ func BenchmarkBatonRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkSpawn measures a proc's whole life: spawn, one dispatch, run to
+// completion. Spawn owns every allocation a proc start costs (the Proc and
+// its coroutine); the dispatch itself allocates nothing.
+func BenchmarkSpawn(b *testing.B) {
+	e := NewEngine(1)
+	fn := func(*Proc) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Spawn("p", fn)
+		e.Run()
+	}
 }
 
 // BenchmarkHeapChurn measures cancel+reschedule against a deep queue: the

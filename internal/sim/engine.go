@@ -190,7 +190,8 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Run executes events until the queue empties, Stop is called, or the time
 // Limit is exceeded. It returns the final simulation time. A Stop from a
 // previous Run does not carry over: each Run starts live. Running any shard
-// of a partition group drives the whole group (see partition.go).
+// of a partition group drives the whole group (see partition.go). A panic in
+// proc code propagates out of Run; the engine must not be used after it.
 func (e *Engine) Run() uint64 {
 	if e.g != nil {
 		return e.g.run(e)

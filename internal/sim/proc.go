@@ -1,25 +1,37 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated coroutine: a goroutine that runs only while it holds
-// the engine baton. Procs yield the baton by parking (Park, Sleep) and are
-// handed it back by events scheduled through the engine. Exactly one proc or
-// the engine loop executes at any moment, so proc code needs no locking.
+// Proc is a simulated coroutine: a runtime coroutine (iter.Pull) that runs
+// only while it holds the engine baton. Procs yield the baton by parking
+// (Park, Sleep) and are handed it back by events scheduled through the
+// engine. Exactly one proc or the engine loop executes at any moment, so
+// proc code needs no locking.
+//
+// Granting the baton is a resume and giving it back is a yield. Both are a
+// direct coroutine switch: the runtime moves the thread from one goroutine
+// to the other without a trip through the scheduler, which is what makes a
+// proc switch several times cheaper than an unbuffered channel rendezvous.
+// A panic in proc code travels back through resume, so it surfaces in the
+// caller of Engine.Run instead of killing the process.
 type Proc struct {
 	eng  *Engine
 	name string
-	// baton is the single rendezvous channel of the handoff protocol: the
-	// engine sends to grant the baton and then receives to take it back;
-	// the proc mirrors that. Because exactly one side executes at a time,
-	// one unbuffered channel serves both directions.
-	baton chan struct{}
-	done  bool
-	wake  Handle // pending wake event, if any (Sleep/WakeAfter bookkeeping)
+	// resume runs the proc until it next yields or returns; yield, called
+	// from inside the proc, switches back to whoever resumed it.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	done   bool
+	wake   Handle // pending wake event, if any (Sleep/WakeAfter bookkeeping)
 	// chained marks a proc that parked but is resuming inline: it is either
 	// running the engine loop itself or blocked inside an inline dispatch it
-	// issued (see park). Its baton must not be poked until the chain unwinds
-	// back to it, because it is not listening on it.
+	// issued (see park). It must not be resumed until the chain unwinds back
+	// to it, because it is not suspended in yield.
 	chained bool
 	// site labels this proc's wake events for the cost profiler (SetSite).
 	site Site
@@ -32,20 +44,22 @@ type Proc struct {
 // Spawn creates a proc running fn and schedules its first dispatch at the
 // current time. fn runs in proc context: it may Park, Sleep, schedule events
 // and wake other procs, and it holds the baton until it yields or returns.
+//
+// Spawn resumes the new coroutine once, up to a priming yield before fn.
+// That first resume allocates the coroutine's yield closure; doing it here
+// keeps the allocation out of the proc's first dispatch, which like every
+// later dispatch allocates nothing.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:   e,
-		name:  name,
-		baton: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	e.live++
-	go func() {
-		<-p.baton
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		yield(struct{}{})
 		fn(p)
 		p.done = true
 		e.live--
-		p.baton <- struct{}{}
-	}()
+	})
+	p.resume()
 	p.wake = e.scheduleProc(0, p)
 	return p
 }
@@ -61,34 +75,35 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	p.wake = Handle{}
 	e.current = p
-	p.baton <- struct{}{}
-	<-p.baton
+	p.resume()
 	e.current = nil
 }
 
 // park yields the baton and blocks until the next wake.
 //
-// Fast path: instead of bouncing the baton back through its dispatcher, the
+// Fast path: instead of yielding the baton back to its dispatcher, the
 // parking proc keeps running the engine loop itself — popping events in
 // exactly the (at, seq) order the engine loop would use. Plain callbacks run
 // inline (with current == nil, as in engine context); the proc's own wake
-// resumes it on the spot with zero channel operations; and a wake for
-// another really-parked proc is dispatched directly, one goroutine handoff
-// where the engine-mediated route costs two. The procs form a dispatch
-// chain (engine → a → b → ...): each link is blocked in its inline dispatch
-// waiting for the baton of the proc below, and the deepest proc is the one
-// acting as the engine.
+// resumes it on the spot with no coroutine switch at all; and a wake for
+// another really-parked proc is dispatched directly, one resume where the
+// engine-mediated route costs a yield plus a resume. The procs form a
+// dispatch chain (engine → a → b → ...): each link is blocked in its inline
+// dispatch, waiting for the proc below to yield, and the deepest proc is the
+// one acting as the engine. Coroutine switches are cheap, but a switch pair
+// still costs several times an inline self-wake, so the chain stays: a proc
+// that sleeps and wakes with nothing in between never leaves its own stack.
 //
 // The one event the acting proc must not handle itself is a wake for a proc
-// marked chained — an ancestor in the chain, which is blocked on its
-// child's baton, not its own. The actor leaves that event queued and falls
-// back to the real handoff, which unwinds the chain link by link (each
-// ancestor re-checks the same head event) until it reaches the woken proc,
-// whose own loop pops the event and resumes. Stop, a reached time limit and
-// an empty queue unwind the same way, so Engine.Run regains control with
-// every proc really parked. Dispatch order and callback context are
-// identical to the engine-mediated path throughout — only which goroutine
-// executes the loop changes.
+// marked chained — an ancestor in the chain, which is suspended inside its
+// child's resume, not in its own yield. The actor leaves that event queued
+// and falls back to the real yield, which unwinds the chain link by link
+// (each ancestor re-checks the same head event) until it reaches the woken
+// proc, whose own loop pops the event and resumes. Stop, a reached time
+// limit and an empty queue unwind the same way, so Engine.Run regains
+// control with every proc really parked. Dispatch order and callback context
+// are identical to the engine-mediated path throughout — only which
+// coroutine executes the loop changes.
 func (p *Proc) park() {
 	e := p.eng
 	if e.current != p {
@@ -137,8 +152,7 @@ func (p *Proc) park() {
 		}
 	}
 	p.chained = false
-	p.baton <- struct{}{}
-	<-p.baton
+	p.yield(struct{}{})
 	e.current = p
 }
 

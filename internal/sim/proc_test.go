@@ -203,3 +203,57 @@ func TestCondSignalEmpty(t *testing.T) {
 		t.Errorf("Broadcast on empty cond = %d, want 0", n)
 	}
 }
+
+// TestProcPanicReachesRunCaller checks that a panic in proc code travels
+// back to the caller of Run instead of killing the process. The faulty
+// proc is dispatched from inside the steady proc's park loop, so the panic
+// also crosses a link of the dispatch chain on its way out.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine(1)
+	e.Spawn("steady", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	e.Spawn("faulty", func(p *Proc) {
+		p.Sleep(3)
+		panic("proc fault at t=3")
+	})
+	defer func() {
+		if r := recover(); r != "proc fault at t=3" {
+			t.Fatalf("recovered %v, want the proc's panic value", r)
+		}
+		if e.Now() != 3 {
+			t.Errorf("panic surfaced at t=%d, want 3", e.Now())
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned normally; the proc panic was lost")
+}
+
+// TestPrimedProcSwitchesAllocateNothing checks that a proc's first
+// dispatch, its park and its wake allocate nothing once Spawn has primed
+// the coroutine: the allocations of a proc start all happen in Spawn.
+func TestPrimedProcSwitchesAllocateNothing(t *testing.T) {
+	const runs = 50
+	engines := make([]*Engine, runs+1) // AllocsPerRun adds a warm-up run
+	procs := make([]*Proc, runs+1)
+	for i := range engines {
+		engines[i] = NewEngine(1)
+		procs[i] = engines[i].Spawn("p", func(p *Proc) { p.Park() })
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		e, p := engines[i], procs[i]
+		i++
+		e.Run() // first dispatch; the proc parks and yields with the queue empty
+		e.Wake(p)
+		e.Run() // resumes the parked proc, which returns
+		if !p.Done() {
+			t.Fatal("proc did not finish")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("first dispatch, park and wake allocate %.1f times, want 0", allocs)
+	}
+}
