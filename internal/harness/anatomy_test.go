@@ -49,9 +49,9 @@ func TestDwellConservationProperty(t *testing.T) {
 					},
 				}
 				rec := spans.NewRecorder(nil)
-				pt := runCrucible(plan, 0, NewOptions(
+				pt := runLab(plan, 0, NewOptions(
 					WithQuick(), WithTrials(1), WithSeed(seed),
-					WithDeliveryPolicy(pol), WithSpans(rec)))
+					WithDeliveryPolicy(pol), WithSpans(rec)), cruciblePreset.load)
 				if len(pt.row.Problems) > 0 {
 					t.Logf("seed=%#x policy=%s: %v", seed, polName, pt.row.Problems)
 					return false

@@ -56,7 +56,7 @@ func TestBufferlabEconomics(t *testing.T) {
 	// The static partition must actually be the *worst* place to be under
 	// convergent bursts — that asymmetry is the whole DAMQ literature.
 	for _, row := range res.Rows {
-		if row.Model == "fifo" && row.Refused == 0 && row.Plan != "none" {
+		if row.Queue == "fifo:static" && row.Refused == 0 && row.Plan != "none" {
 			t.Errorf("fifo never refused under plan %s: the workload is not scarce enough to compare", row.Plan)
 		}
 	}

@@ -1,17 +1,13 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"strings"
 
 	"fugu/internal/cpu"
-	"fugu/internal/delivery"
 	"fugu/internal/faultinject"
 	"fugu/internal/glaze"
 	"fugu/internal/metrics"
-	"fugu/internal/plot"
 	"fugu/internal/spans"
 	"fugu/internal/telemetry"
 	"fugu/internal/udm"
@@ -123,238 +119,6 @@ var CrucibleCauses = []string{
 	"gid-mismatch", "atomicity-timeout", "handler-fault", "quantum-expiry", "buffer-overflow",
 }
 
-// CrucibleRow is one (plan, trial) run's outcome.
-type CrucibleRow struct {
-	Plan      string
-	Trial     int
-	Seed      uint64 // machine seed (the plan's PCG seed derives from it)
-	Completed bool
-	Cycles    uint64
-	Fast      uint64 // fast-path deliveries
-	Buffered  uint64 // buffered-path deliveries
-	Injected  [faultinject.NumKinds]uint64
-	// Problems lists delivery-oracle violations; empty on a healthy run.
-	Problems []string
-}
-
-// Revocations and in-handler faults come from the metrics snapshot, kept on
-// the row for cause coverage without re-deriving from raw snapshots.
-type crucibleCounters struct {
-	revocations     uint64
-	faultsInHandler uint64
-	overflowTrips   uint64
-}
-
-// CrucibleResult is the structured outcome of the crucible sweep.
-type CrucibleResult struct {
-	Rows []CrucibleRow
-	// Policy names the delivery policy the sweep ran under; KernelBuffered
-	// mirrors its Policy.KernelBuffered() and decides which causes the
-	// sweep can force at all (see RequiredCauses).
-	Policy         string
-	KernelBuffered bool
-	counters       []crucibleCounters
-}
-
-// Problems flattens every row's oracle violations, prefixed by the run.
-func (r CrucibleResult) Problems() []string {
-	var out []string
-	for _, row := range r.Rows {
-		for _, p := range row.Problems {
-			out = append(out, fmt.Sprintf("%s trial=%d: %s", row.Plan, row.Trial, p))
-		}
-	}
-	return out
-}
-
-// RequiredCauses lists the second-case causes this sweep must force under
-// its delivery policy. A policy with no kernel-buffered mode (hardware
-// demux into protected rings) structurally cannot revoke atomicity or trip
-// software-buffer overflow control — those causes are absent by design, not
-// missed by the sweep.
-func (r CrucibleResult) RequiredCauses() []string {
-	if r.KernelBuffered {
-		return CrucibleCauses
-	}
-	out := make([]string, 0, len(CrucibleCauses))
-	for _, c := range CrucibleCauses {
-		if c == "atomicity-timeout" || c == "buffer-overflow" {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// CauseCoverage reports, for each of the five second-case causes, whether
-// the sweep forced it at least once.
-func (r CrucibleResult) CauseCoverage() map[string]bool {
-	cov := map[string]bool{}
-	for _, c := range CrucibleCauses {
-		cov[c] = false
-	}
-	for i, row := range r.Rows {
-		if row.Injected[faultinject.GIDMismatch] > 0 {
-			cov["gid-mismatch"] = true
-		}
-		if row.Injected[faultinject.QuantumExpiry] > 0 {
-			cov["quantum-expiry"] = true
-		}
-		if i < len(r.counters) {
-			c := r.counters[i]
-			if row.Injected[faultinject.AtomicityTimeout] > 0 && c.revocations > 0 {
-				cov["atomicity-timeout"] = true
-			}
-			if row.Injected[faultinject.HandlerPageFault] > 0 && c.faultsInHandler > 0 {
-				cov["handler-fault"] = true
-			}
-			if row.Injected[faultinject.FrameStarvation] > 0 && c.overflowTrips > 0 {
-				cov["buffer-overflow"] = true
-			}
-		}
-	}
-	return cov
-}
-
-// Print renders the sweep table, the cause-coverage line and any oracle
-// violations.
-func (r CrucibleResult) Print(w io.Writer) {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		status := "ok"
-		if !row.Completed {
-			status = "WEDGED"
-		} else if len(row.Problems) > 0 {
-			status = "ORACLE FAIL"
-		}
-		var inj uint64
-		for _, c := range row.Injected {
-			inj += c
-		}
-		rows = append(rows, []string{
-			row.Plan, fmt.Sprint(row.Trial), status,
-			u(row.Fast), u(row.Buffered), u(inj), u(row.Cycles),
-		})
-	}
-	fmt.Fprintf(w, "Crucible: fault plans x seeds under delivery oracles (8 nodes, all-to-all, policy %s)\n", r.Policy)
-	fmt.Fprintln(w, plot.Table([]string{"plan", "trial", "status", "fast", "buffered", "injected", "cycles"}, rows))
-	cov := r.CauseCoverage()
-	required := r.RequiredCauses()
-	parts := make([]string, 0, len(required))
-	for _, c := range required {
-		mark := "MISSING"
-		if cov[c] {
-			mark = "forced"
-		}
-		parts = append(parts, c+"="+mark)
-	}
-	fmt.Fprintln(w, "cause coverage:", strings.Join(parts, " "))
-	if problems := r.Problems(); len(problems) > 0 {
-		fmt.Fprintf(w, "\n%d oracle violation(s):\n", len(problems))
-		for _, p := range problems {
-			fmt.Fprintln(w, " ", p)
-		}
-	} else {
-		fmt.Fprintln(w, "all delivery oracles passed")
-	}
-}
-
-// CSVFiles renders the sweep as crucible.csv.
-func (r CrucibleResult) CSVFiles() map[string]string {
-	var b strings.Builder
-	b.WriteString("policy,plan,trial,seed,completed,cycles,fast,buffered")
-	for k := faultinject.Kind(0); k < faultinject.NumKinds; k++ {
-		b.WriteString(",inj_" + strings.ReplaceAll(k.String(), "-", "_"))
-	}
-	b.WriteString(",problems\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%v,%d,%d,%d",
-			r.Policy, row.Plan, row.Trial, row.Seed, row.Completed, row.Cycles, row.Fast, row.Buffered)
-		for _, c := range row.Injected {
-			fmt.Fprintf(&b, ",%d", c)
-		}
-		fmt.Fprintf(&b, ",%d\n", len(row.Problems))
-	}
-	return map[string]string{"crucible.csv": b.String()}
-}
-
-// cruciblePoint carries one row plus the machine's metrics snapshot and
-// flight-recorder timeline.
-type cruciblePoint struct {
-	row      CrucibleRow
-	counters crucibleCounters
-	snap     metrics.Snapshot
-	timeline telemetry.Timeline
-}
-
-// MetricsSnapshot implements MetricsCarrier for the Runner's metrics hook.
-func (p cruciblePoint) MetricsSnapshot() metrics.Snapshot { return p.snap }
-
-// TimelineData implements TimelineCarrier for the Runner's timeline hook.
-func (p cruciblePoint) TimelineData() telemetry.Timeline { return p.timeline }
-
-// Crucible runs the fault-plan sweep.
-func Crucible(opts ...Option) (CrucibleResult, error) {
-	return runAs[CrucibleResult]("crucible", opts...)
-}
-
-// crucibleExperiment fans out one point per (plan, trial).
-func crucibleExperiment() *Experiment {
-	return &Experiment{
-		Name:        "crucible",
-		Description: "fault-plan sweep with delivery oracles; forces every second-case cause",
-		Points: func(opt Options) []Point {
-			plans := cruciblePlans()
-			pts := make([]Point, 0, len(plans)*opt.trials())
-			for _, pl := range plans {
-				for trial := 0; trial < opt.trials(); trial++ {
-					pl, trial := pl, trial
-					pts = append(pts, Point{
-						Label: fmt.Sprintf("%s trial=%d", pl.name, trial),
-						Run: func(_ context.Context, opt Options) (any, error) {
-							return runCrucible(pl, trial, opt), nil
-						},
-					})
-				}
-			}
-			return pts
-		},
-		Assemble: func(opt Options, results []any) (Result, error) {
-			pol := opt.Policy
-			if pol == nil {
-				pol = delivery.TwoCase{}
-			}
-			res := CrucibleResult{
-				Rows:           make([]CrucibleRow, len(results)),
-				Policy:         pol.Name(),
-				KernelBuffered: pol.KernelBuffered(),
-				counters:       make([]crucibleCounters, len(results)),
-			}
-			for i, r := range results {
-				p := r.(cruciblePoint)
-				res.Rows[i] = p.row
-				res.counters[i] = p.counters
-			}
-			return res, nil
-		},
-		Verdict: crucibleVerdict,
-	}
-}
-
-// crucibleVerdict fails the sweep on any oracle violation and on any
-// second-case cause the policy can express that no run forced.
-func crucibleVerdict(res Result) []string {
-	r := res.(CrucibleResult)
-	out := r.Problems()
-	cov := r.CauseCoverage()
-	for _, cause := range r.RequiredCauses() {
-		if !cov[cause] {
-			out = append(out, fmt.Sprintf("cause %q never forced under policy %s", cause, r.Policy))
-		}
-	}
-	return out
-}
-
 // crucibleHandler is the workload's handler id.
 const crucibleHandler = 7
 
@@ -386,20 +150,16 @@ func (l crucibleLoad) dst(n, i, nodes int) int {
 	return (n + 1 + i%(nodes-1)) % nodes
 }
 
-// runCrucible executes one (plan, trial) run and checks the delivery
-// oracles. The workload is a deterministic all-to-all: every node sends S
-// tagged messages round-robin to the other nodes, interleaving data-page
-// touches and polled atomic sections, and waits until it has received its
-// own expected share. Completion therefore already implies no message was
-// lost; the oracles sharpen that to exactly-once, fully-drained and
-// span-reconciled.
-func runCrucible(pl cruciblePlan, trial int, opt Options) cruciblePoint {
-	return runCrucibleLoad(pl, trial, opt, crucibleLoad{burst: 1})
-}
-
-// runCrucibleLoad is runCrucible under an explicit load shape; with the
-// default load the event stream is bit-identical to the original workload.
-func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad) cruciblePoint {
+// runCrucibleLoad executes one (plan, trial) run under a load shape and
+// checks the delivery oracles. The workload is a deterministic all-to-all:
+// every node sends S tagged messages to the other nodes, interleaving
+// data-page touches and polled atomic sections, and waits until it has
+// received its own expected share. Completion therefore already implies no
+// message was lost; the oracles sharpen that to exactly-once, fully-drained
+// and span-reconciled. With the default load the event stream is
+// bit-identical to the original workload. The returned row holds the run's
+// identity and oracle verdict; runLab fills the measured fields.
+func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad) labPoint {
 	sends := 400
 	if opt.Quick {
 		sends = 80
@@ -503,28 +263,25 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 
 	tl := m.FinishTelemetry()
 	snap := m.MetricsSnapshot()
-	row := CrucibleRow{
-		Plan:      pl.name,
-		Trial:     trial,
-		Seed:      cfg.Seed,
-		Completed: job.Done(),
-		Cycles:    m.Eng.Now(),
-		Fast:      snap.Counters["glaze.deliver.fast"],
-		Buffered:  snap.Counters["glaze.deliver.buffered"],
-		Injected:  m.Faults.Counts(),
+	q := cfg.NIConfig.Queue
+	if q.Slots == 0 {
+		q.Slots = cfg.NIConfig.InputQueueDepth
+	}
+	row := LabRow{
+		Policy:         m.Policy().Name(),
+		KernelBuffered: m.Policy().KernelBuffered(),
+		Queue:          q.Name(),
+		Slots:          q.Slots,
+		Plan:           pl.name,
+		Trial:          trial,
+		Seed:           cfg.Seed,
+		Completed:      job.Done(),
+		Cycles:         m.Eng.Now(),
+		Injected:       m.Faults.Counts(),
 	}
 	row.Problems = crucibleOracles(m, job, rec, ownRec, snap, seen, sends)
 	row.Problems = append(row.Problems, crucibleTimelineOracles(tl)...)
-	return cruciblePoint{
-		row: row,
-		counters: crucibleCounters{
-			revocations:     snap.Counters["glaze.revocations"],
-			faultsInHandler: snap.Counters["glaze.faults_in_handler"],
-			overflowTrips:   snap.Counters["glaze.overflow.trips"],
-		},
-		snap:     snap,
-		timeline: tl,
-	}
+	return labPoint{row: row, snap: snap, timeline: tl}
 }
 
 // crucibleOracles checks the delivery invariants after one run:

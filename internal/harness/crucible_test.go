@@ -52,8 +52,13 @@ func TestCruciblePolicySweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Policy != name {
-				t.Errorf("result policy = %q, want %q", res.Policy, name)
+			if len(res.Rows) != len(cruciblePlans()) {
+				t.Errorf("got %d rows, want one per plan (%d)", len(res.Rows), len(cruciblePlans()))
+			}
+			for _, row := range res.Rows {
+				if row.Policy != name {
+					t.Errorf("%s row policy = %q, want %q", row.Plan, row.Policy, name)
+				}
 			}
 			for _, v := range exp.Verdict(res) {
 				t.Errorf("verdict: %s", v)
@@ -68,8 +73,8 @@ func TestCruciblePolicySweep(t *testing.T) {
 func TestCrucibleDeterminism(t *testing.T) {
 	opt := NewOptions(WithQuick(), WithTrials(1), WithSeed(7))
 	pl := cruciblePlans()[len(cruciblePlans())-1] // chaos
-	a := runCrucible(pl, 0, opt)
-	b := runCrucible(pl, 0, opt)
+	a := runLab(pl, 0, opt, cruciblePreset.load)
+	b := runLab(pl, 0, opt, cruciblePreset.load)
 	if a.row.Cycles != b.row.Cycles || a.row.Fast != b.row.Fast ||
 		a.row.Buffered != b.row.Buffered || a.row.Injected != b.row.Injected {
 		t.Errorf("chaos plan not deterministic:\n  run1 %+v\n  run2 %+v", a.row, b.row)
@@ -106,7 +111,7 @@ func TestCrucibleBalanceProperty(t *testing.T) {
 				p.Arm(faultinject.LinkStall, w(pStall, 250))
 			},
 		}
-		pt := runCrucible(plan, 0, NewOptions(WithQuick(), WithTrials(1), WithSeed(seed)))
+		pt := runLab(plan, 0, NewOptions(WithQuick(), WithTrials(1), WithSeed(seed)), cruciblePreset.load)
 		if len(pt.row.Problems) > 0 {
 			t.Logf("seed=%#x probs=(%d,%d,%d,%d,%d): %v",
 				seed, pMis, pRev, pFault, pExp, pStall, pt.row.Problems)
@@ -149,8 +154,8 @@ func TestFaultPolicySpanProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := spans.NewRecorder(nil)
-			pt := runCrucible(plan, 0, NewOptions(WithQuick(), WithTrials(1), WithSeed(seed),
-				WithDeliveryPolicy(pol), WithSpans(rec)))
+			pt := runLab(plan, 0, NewOptions(WithQuick(), WithTrials(1), WithSeed(seed),
+				WithDeliveryPolicy(pol), WithSpans(rec)), cruciblePreset.load)
 			if probs := rec.Check(pt.snap.Counters["glaze.deliver.fast"],
 				pt.snap.Counters["glaze.deliver.buffered"]); len(probs) != 0 {
 				t.Logf("seed=%#x policy=%s: span invariants violated: %v", seed, polName, probs)

@@ -76,9 +76,9 @@ func init() {
 	register(fig9Experiment())
 	register(fig10Experiment())
 	register(crlStressExperiment())
-	register(crucibleExperiment())
-	register(policyLabExperiment())
-	register(bufferLabExperiment())
+	register(labExperiment(cruciblePreset))
+	register(labExperiment(policylabPreset))
+	register(labExperiment(bufferlabPreset))
 }
 
 // Experiments returns every registered experiment in registration order.

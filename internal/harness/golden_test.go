@@ -26,6 +26,10 @@ var goldenFast = map[string]map[string]string{
 	"table5": {"table5.csv": "b250310ce6d373a58bc917e7e315c001a291e8a97197ecb982e5722e89782c51"},
 	"fig9":   {"fig9.csv": "003ede8306b9a83ca8180051a63afdaffbb0cb55492fa43c8e75c19fb0970c2f"},
 	"fig10":  {"fig10.csv": "58179a303c54fb58d1457be419d58a0ef1d1ade8de12f5da87f2ed8c129f67ba"},
+	// The lab presets share one CSV schema (see EXPERIMENTS.md).
+	"crucible":  {"crucible.csv": "0f95883b49adc174ded3f2d21aac00ce382085b19a2a381346525781c7610ccc"},
+	"policylab": {"policylab.csv": "2483f225b41172083dca2d05b6c8d79d565ca231a43a35e69fe1938b3722caa7"},
+	"bufferlab": {"bufferlab.csv": "8e5a009fb8ec98e3645e1912069cf7ff6fba228d9aa041f26f9ea0135b5989a5"},
 }
 
 // goldenSlow covers the experiments too heavy for every `go test` cycle;

@@ -15,32 +15,31 @@ func TestVerdicts(t *testing.T) {
 	// the machine-side counters that prove the kernel took the transition.
 	// withStarve=false drops the frame-starvation row, so buffer overflow is
 	// never forced.
-	crucible := func(policy string, kernelBuffered, withStarve bool, problems ...string) CrucibleResult {
-		r := CrucibleResult{Policy: policy, KernelBuffered: kernelBuffered}
-		add := func(plan string, kind faultinject.Kind, c crucibleCounters) {
-			row := CrucibleRow{Plan: plan, Completed: true}
+	crucible := func(policy string, kernelBuffered, withStarve bool, problems ...string) LabResult {
+		r := LabResult{preset: cruciblePreset}
+		add := func(plan string, kind faultinject.Kind, row LabRow) {
+			row.Policy, row.KernelBuffered, row.Plan, row.Completed = policy, kernelBuffered, plan, true
 			row.Injected[kind] = 1
 			r.Rows = append(r.Rows, row)
-			r.counters = append(r.counters, c)
 		}
-		add("mismatch", faultinject.GIDMismatch, crucibleCounters{})
-		add("revoke", faultinject.AtomicityTimeout, crucibleCounters{revocations: 1})
-		add("handler-fault", faultinject.HandlerPageFault, crucibleCounters{faultsInHandler: 1})
-		add("expiry", faultinject.QuantumExpiry, crucibleCounters{})
+		add("mismatch", faultinject.GIDMismatch, LabRow{})
+		add("revoke", faultinject.AtomicityTimeout, LabRow{Revocations: 1})
+		add("handler-fault", faultinject.HandlerPageFault, LabRow{FaultsInHandler: 1})
+		add("expiry", faultinject.QuantumExpiry, LabRow{})
 		if withStarve {
-			add("starve", faultinject.FrameStarvation, crucibleCounters{overflowTrips: 1})
+			add("starve", faultinject.FrameStarvation, LabRow{OverflowTrips: 1})
 		}
 		r.Rows[0].Problems = problems
 		return r
 	}
-	bufferlab := func(fifoRefused uint64) BufferLabResult {
-		return BufferLabResult{Rows: []BufferLabRow{
-			{Model: "fifo", Policy: "static", Plan: "hot-spot", Arrived: 90, Refused: fifoRefused},
-			{Model: "damq", Policy: "demand", Plan: "hot-spot", Arrived: 95, Refused: 5},
+	bufferlab := func(fifoRefused uint64) LabResult {
+		return LabResult{preset: bufferlabPreset, Rows: []LabRow{
+			{Queue: "fifo:static", Plan: "hot-spot", Arrived: 90, Refused: fifoRefused},
+			{Queue: "damq:demand", Plan: "hot-spot", Arrived: 95, Refused: 5},
 		}}
 	}
-	policylab := func(problems ...string) PolicyLabResult {
-		return PolicyLabResult{Rows: []PolicyLabRow{{Policy: "twocase", Plan: "none", Problems: problems}}}
+	policylab := func(problems ...string) LabResult {
+		return LabResult{preset: policylabPreset, Rows: []LabRow{{Policy: "twocase", Plan: "none", Problems: problems}}}
 	}
 
 	cases := []struct {
@@ -60,7 +59,7 @@ func TestVerdicts(t *testing.T) {
 			[]string{"no shared queue organization dominated the static FIFO on overflow rate"}},
 		{"policylab clean", "policylab", policylab(), nil},
 		{"policylab oracle violation", "policylab", policylab("stuck span"),
-			[]string{"twocase/none trial=0: stuck span"}},
+			[]string{"twocase none trial=0: stuck span"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
