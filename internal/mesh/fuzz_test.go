@@ -10,22 +10,27 @@ import (
 // FuzzMeshFIFO drives the mesh with an arbitrary send schedule — sources,
 // destinations, lengths and inter-send gaps all read from the fuzz input —
 // under fault-plan congestion (link stalls and hot spots whose probability
-// and magnitude also come from the input), and checks the two route
-// invariants the NIs and the kernel stand on:
+// and magnitude also come from the input) and a latency model also drawn
+// from the input (zero costs allowed), and checks the two route invariants
+// the NIs and the kernel stand on:
 //
 //   - conservation: every packet sent is delivered exactly once;
 //   - per-pair FIFO: packets between one (src, dst) pair arrive in send
-//     order no matter what injected delays their schedules picked up.
+//     order, each strictly after the one before, no matter what injected
+//     delays their schedules picked up.
 //
 // The second is the property the injector's ordering clamp exists for: a
 // stall drawn for an early packet must never let a later packet overtake.
+// With a zero-latency model a send lands in the cycle it was made, so a
+// second same-cycle send on the pair must still be pushed one cycle later.
 func FuzzMeshFIFO(f *testing.F) {
-	f.Add([]byte{0, 1, 4, 0, 1, 0, 4, 10, 0, 1, 1, 0}, uint8(0), uint8(0))
-	f.Add([]byte{7, 0, 16, 255, 0, 7, 16, 0, 3, 4, 2, 1}, uint8(200), uint8(90))
-	f.Add([]byte{1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}, uint8(255), uint8(255))
-	f.Fuzz(func(t *testing.T, script []byte, stallP, stallC uint8) {
+	f.Add([]byte{0, 1, 4, 0, 1, 0, 4, 10, 0, 1, 1, 0}, uint8(0), uint8(0), uint8(10), uint8(2), uint8(1))
+	f.Add([]byte{7, 0, 16, 255, 0, 7, 16, 0, 3, 4, 2, 1}, uint8(200), uint8(90), uint8(10), uint8(2), uint8(1))
+	f.Add([]byte{1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}, uint8(255), uint8(255), uint8(10), uint8(2), uint8(1))
+	f.Add([]byte{2, 2, 0, 0, 2, 5, 0, 0, 2, 2, 3, 0, 2, 5, 0, 0}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, script []byte, stallP, stallC, base, perHop, perWord uint8) {
 		eng := sim.NewEngine(1)
-		net := New(eng, 4, 2, DefaultLatency())
+		net := New(eng, 4, 2, LatencyModel{Base: uint64(base), PerHop: uint64(perHop), PerWord: uint64(perWord)})
 		eps := make([]*sinkEP, net.Nodes())
 		for i := range eps {
 			eps[i] = &sinkEP{}
@@ -60,7 +65,7 @@ func FuzzMeshFIFO(f *testing.F) {
 		eng.Run()
 
 		delivered := 0
-		lastID := map[[2]int]uint64{}
+		last := map[[2]int]*Packet{}
 		for node, ep := range eps {
 			for _, pkt := range ep.got {
 				delivered++
@@ -68,11 +73,17 @@ func FuzzMeshFIFO(f *testing.F) {
 					t.Fatalf("packet %d for node %d arrived at node %d", pkt.ID, pkt.Dst, node)
 				}
 				pair := [2]int{pkt.Src, pkt.Dst}
-				if last, ok := lastID[pair]; ok && pkt.ID <= last {
-					t.Fatalf("pair (%d,%d): packet %d arrived after %d — FIFO violated",
-						pkt.Src, pkt.Dst, pkt.ID, last)
+				if prev := last[pair]; prev != nil {
+					if pkt.ID <= prev.ID {
+						t.Fatalf("pair (%d,%d): packet %d arrived after %d — FIFO violated",
+							pkt.Src, pkt.Dst, pkt.ID, prev.ID)
+					}
+					if pkt.ArrivedAt <= prev.ArrivedAt {
+						t.Fatalf("pair (%d,%d): packet %d arrived at %d, not after packet %d at %d",
+							pkt.Src, pkt.Dst, pkt.ID, pkt.ArrivedAt, prev.ID, prev.ArrivedAt)
+					}
 				}
-				lastID[pair] = pkt.ID
+				last[pair] = pkt
 				if pkt.ArrivedAt < pkt.SentAt {
 					t.Fatalf("packet %d arrived at %d before its send at %d",
 						pkt.ID, pkt.ArrivedAt, pkt.SentAt)

@@ -114,17 +114,25 @@ type Net struct {
 	endpoints [numClasses][]Endpoint
 	// blocked packets per (class, dst), FIFO in arrival order.
 	blocked [numClasses][][]*Packet
-	// lastArrive enforces per-(src,dst) FIFO: a short packet must not
+	// inflight enforces per-(src,dst) FIFO: a short packet must not
 	// overtake an earlier long one on the same route (packets follow the
-	// same path and cannot reorder in a wormhole mesh). Indexed src*n+dst.
-	lastArrive [numClasses][]uint64
+	// same path and cannot reorder in a wormhole mesh). Indexed [class][src],
+	// each list holds the last arrival time per destination for the
+	// source's packets in flight (landed entries are dropped when a new
+	// destination is added, see order), so the guard costs memory per route
+	// in use rather than per node pair. The lists start as windows of one
+	// backing array (see New); only the source's engine touches its list.
+	inflight [numClasses][][]arrival
 	// stats are kept in per-node lanes — Packets/Words owned by the
 	// sender, Refused by the receiver — so parallel partitions never write
 	// the same word; StatsFor sums them.
 	stats [numClasses][]Stats
-	// pool recycles packets per node: Acquire pops the node's free list,
-	// Release pushes it. Per-node lists keep the pool partition-clean (a
-	// node only ever touches its own lane from its own engine).
+	// pool recycles packets per engine, indexed by the engine's partition
+	// (sim.Engine.Part): Acquire pops the free list of the node's engine,
+	// Release pushes it. A packet released at its receiver is reusable by
+	// every sender on that engine, so the pool tracks peak traffic in
+	// flight, and one list per engine keeps it partition-clean (only that
+	// shard's goroutine touches it).
 	pool [][]*Packet
 
 	// Metrics instruments, nil (no-op) unless UseMetrics is called.
@@ -164,17 +172,37 @@ func (n *Net) UseMetrics(r *metrics.Registry) {
 	n.mBlocked = r.Gauge("mesh.blocked")
 }
 
+// arrival is one FIFO-guard entry: the arrival time of the last packet a
+// source sent to dst.
+type arrival struct {
+	dst int
+	at  uint64
+}
+
+// inflightCap is the initial per-source capacity of the FIFO guard: the
+// number of destinations a source can have packets in flight to before its
+// list grows out of the shared backing array.
+const inflightCap = 8
+
 // New creates a mesh of w×h nodes on the engine with the given latency model.
 func New(eng *sim.Engine, w, h int, lat LatencyModel) *Net {
 	n := w * h
 	net := &Net{eng: eng, w: w, h: h, lat: lat}
 	net.deliverFn = func(arg any) { net.deliver(arg.(*Packet)) }
-	net.pool = make([][]*Packet, n)
+	net.pool = make([][]*Packet, 1)
+	k := min(n, inflightCap)
+	backing := make([]arrival, int(numClasses)*n*k)
 	for c := range net.endpoints {
 		net.endpoints[c] = make([]Endpoint, n)
 		net.blocked[c] = make([][]*Packet, n)
-		net.lastArrive[c] = make([]uint64, n*n)
 		net.stats[c] = make([]Stats, n)
+		net.inflight[c] = make([][]arrival, n)
+		for src := range net.inflight[c] {
+			// Full-slice windows: a list that outgrows its window
+			// reallocates instead of spilling into its neighbour's.
+			off := (c*n + src) * k
+			net.inflight[c][src] = backing[off : off : off+k]
+		}
 	}
 	return net
 }
@@ -193,6 +221,11 @@ func (n *Net) ShardEngines(engs []*sim.Engine) {
 	if n.parallel {
 		n.ids = make([]uint64, n.Nodes())
 	}
+	parts := 1
+	for _, e := range engs {
+		parts = max(parts, e.Part()+1)
+	}
+	n.pool = make([][]*Packet, parts)
 }
 
 // EngineFor returns the engine owning a node's events: the node's
@@ -243,16 +276,17 @@ func (n *Net) StatsFor(class Class) Stats {
 }
 
 // Acquire returns a packet whose Words slice has length words, recycled
-// from the node's free list when one is available. The caller fills Words
-// and injects with SendPacket; a receiver done with a packet hands it back
-// via Release. Pooling never changes event order or RNG draws, so results
-// are identical to freshly allocated packets.
+// from the free list of the node's engine when one is available. The caller
+// fills Words and injects with SendPacket; a receiver done with a packet
+// hands it back via Release. Pooling never changes event order or RNG
+// draws, so results are identical to freshly allocated packets.
 func (n *Net) Acquire(node, words int) *Packet {
 	var pkt *Packet
-	if q := n.pool[node]; len(q) > 0 {
+	p := n.engAt(node).Part()
+	if q := n.pool[p]; len(q) > 0 {
 		pkt = q[len(q)-1]
 		q[len(q)-1] = nil
-		n.pool[node] = q[:len(q)-1]
+		n.pool[p] = q[:len(q)-1]
 	} else {
 		pkt = &Packet{}
 	}
@@ -264,12 +298,14 @@ func (n *Net) Acquire(node, words int) *Packet {
 	return pkt
 }
 
-// Release returns a packet to node's free list. Callers must only release
-// packets no component still references: the fast-dispose and kernel-drop
-// paths qualify (the message words were consumed before disposal); the
-// buffered paths do not (the delivery store may retain Words).
+// Release returns a packet to the free list of node's engine. Callers must
+// only release packets no component still references: the fast-dispose and
+// kernel-drop paths qualify (the message words were consumed before
+// disposal); the buffered paths do not (the delivery store may retain
+// Words).
 func (n *Net) Release(node int, pkt *Packet) {
-	n.pool[node] = append(n.pool[node], pkt)
+	p := n.engAt(node).Part()
+	n.pool[p] = append(n.pool[p], pkt)
 }
 
 // Send injects a packet. words[0] must already hold the routing header; the
@@ -287,6 +323,9 @@ func (n *Net) Send(class Class, src, dst int, words []uint64) *Packet {
 // path without the per-message Words allocation. The packet's Words must
 // already hold the routing header and payload.
 func (n *Net) SendPacket(class Class, src, dst int, pkt *Packet) *Packet {
+	if src < 0 || src >= n.Nodes() {
+		panic(fmt.Sprintf("mesh: send from invalid node %d", src))
+	}
 	if dst < 0 || dst >= n.Nodes() {
 		panic(fmt.Sprintf("mesh: send to invalid node %d", dst))
 	}
@@ -314,15 +353,39 @@ func (n *Net) SendPacket(class Class, src, dst int, pkt *Packet) *Packet {
 		// injected stalls can delay but never reorder a pair's traffic.
 		at += n.inj.SendDelay(src, dst)
 	}
-	// Same-route FIFO: a short packet sent after a long one queues behind
-	// it rather than overtaking (length-dependent latency must not reorder
-	// a pair's traffic).
-	if last := n.lastArrive[class][src*n.Nodes()+dst]; at <= last {
-		at = last + 1
-	}
-	n.lastArrive[class][src*n.Nodes()+dst] = at
+	at = n.order(class, src, dst, now, at)
 	se.CrossScheduleArgAtSite(n.engAt(dst), siteDeliver, at, n.deliverFn, pkt)
 	return pkt
+}
+
+// order applies the same-route FIFO guard to a packet src sends to dst at
+// now, due at at: a short packet sent after a long one queues behind it
+// rather than overtaking (length-dependent latency must not reorder a
+// pair's traffic). It returns the clamped arrival and records it in src's
+// in-flight list. A route already on the list is updated in place; a new
+// one is appended after dropping every entry that arrived strictly before
+// now: at is never below now, so those can no longer clamp anything. An
+// arrival equal to now must stay — with a zero-latency model a same-cycle
+// send lands at now and must still push the next one to now+1.
+func (n *Net) order(class Class, src, dst int, now, at uint64) uint64 {
+	q := n.inflight[class][src]
+	for i := range q {
+		if e := &q[i]; e.dst == dst {
+			if at <= e.at {
+				at = e.at + 1
+			}
+			e.at = at
+			return at
+		}
+	}
+	kept := q[:0]
+	for _, e := range q {
+		if e.at >= now {
+			kept = append(kept, e)
+		}
+	}
+	n.inflight[class][src] = append(kept, arrival{dst: dst, at: at})
+	return at
 }
 
 // siteDeliver labels packet-arrival events for the engine cost profiler.

@@ -36,7 +36,7 @@ func (h *eventHeap) peek() *Event {
 // push inserts ev and records its slot in ev.index.
 func (h *eventHeap) push(ev *Event) {
 	h.a = append(h.a, ev)
-	h.siftUp(len(h.a) - 1, ev)
+	h.siftUp(len(h.a)-1, ev)
 }
 
 // pop removes and returns the minimum event, marking it unqueued.

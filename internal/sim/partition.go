@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -205,7 +206,8 @@ func (g *Group) drainStaged(h uint64) {
 			if len(*cell) == 0 {
 				continue
 			}
-			sort.SliceStable(*cell, func(i, j int) bool { return (*cell)[i].at < (*cell)[j].at })
+			// Stable, so equal-time entries keep their staging order.
+			slices.SortStableFunc(*cell, func(a, b staged) int { return cmp.Compare(a.at, b.at) })
 			for i := range *cell {
 				s := &(*cell)[i]
 				if s.at < h {

@@ -152,3 +152,34 @@ func TestGroupStats(t *testing.T) {
 		t.Fatalf("post-run stats wrong: %+v", st)
 	}
 }
+
+// TestDrainKeepsStagingOrderAtEqualTimes: cross-shard events one source
+// stages for the same cycle fire in the order they were staged. The drain
+// sorts each staging queue by time; the sort must be stable, because the
+// staging order of equal-time entries is what fixes their tie-break on the
+// destination heap.
+func TestDrainKeepsStagingOrderAtEqualTimes(t *testing.T) {
+	const n = 200
+	g := NewParallelGroup(1, 2, 4)
+	src, dst := g.Shard(0), g.Shard(1)
+	var fired []int
+	record := func(arg any) { fired = append(fired, arg.(int)) }
+	src.Schedule(1, func() {
+		for i := 0; i < n; i++ {
+			// Five distinct times, interleaved so the sort has to move
+			// entries past equal-time neighbours.
+			src.CrossScheduleArgAtSite(dst, SiteMisc, src.Now()+10+uint64(i*7%5), record, i)
+		}
+	})
+	src.Run()
+	if len(fired) != n {
+		t.Fatalf("fired %d of %d staged events", len(fired), n)
+	}
+	at := func(i int) int { return i * 7 % 5 }
+	for k := 1; k < n; k++ {
+		a, b := fired[k-1], fired[k]
+		if at(a) > at(b) || (at(a) == at(b) && a > b) {
+			t.Fatalf("event %d (offset %d) fired before event %d (offset %d)", a, at(a), b, at(b))
+		}
+	}
+}

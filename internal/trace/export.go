@@ -91,7 +91,7 @@ func (l *Log) WriteChromeTrace(w io.Writer) error {
 		}
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: fmt.Sprintf("%d earlier events dropped by the ring", dropped),
-			Cat: "trace", Phase: "i", TS: first, Scope: "g",
+			Cat:  "trace", Phase: "i", TS: first, Scope: "g",
 		})
 	}
 	for _, e := range evs {
