@@ -21,6 +21,22 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleZeroDelay measures the zero-delay lane: one event
+// scheduled for the current cycle and fired per iteration, the path of task
+// wakes, Yield and Cond.Signal. The event never touches the heap.
+func BenchmarkScheduleZeroDelay(b *testing.B) {
+	e := NewEngine(1)
+	fn := func() {}
+	e.Schedule(0, fn) // warm the event pool
+	e.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(0, fn)
+		e.Run()
+	}
+}
+
 // BenchmarkScheduleCancel measures the schedule+cancel cycle, the pattern of
 // re-armed timeouts (the NI atomicity timer, preemptible sleeps).
 func BenchmarkScheduleCancel(b *testing.B) {
@@ -113,4 +129,27 @@ func BenchmarkHeapChurn(b *testing.B) {
 		e.Cancel(hs[j])
 		hs[j] = e.Schedule(1_000_000+e.Rand().Uint64n(1_000_000), fn)
 	}
+}
+
+// BenchmarkLockstepSpend measures barrier's shape: 8 procs, each looping
+// "schedule a delayed callback that wakes me, then park", so every round is
+// 8 heap events that each issue a zero-delay wake through the lane. One op
+// is one round: every proc spends once.
+func BenchmarkLockstepSpend(b *testing.B) {
+	const procs, spend = 8, 10
+	e := NewEngine(1)
+	wake := func(a any) { e.Wake(a.(*Proc)) }
+	for i := 0; i < procs; i++ {
+		e.Spawn("spender", func(p *Proc) {
+			for j := 0; j <= b.N; j++ {
+				e.ScheduleArg(spend, wake, p)
+				p.Park()
+			}
+		})
+	}
+	// The first round fills the event pool; time the rest.
+	e.RunUntil(spend)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"fugu/internal/metrics"
 )
@@ -12,7 +13,7 @@ import (
 type Engine struct {
 	now     uint64
 	seq     uint64
-	heap    eventHeap
+	q       eventQueue
 	free    *Event // recycled event structs (see event.go)
 	current *Proc  // proc currently holding the baton, nil in engine context
 	stopped bool
@@ -21,6 +22,9 @@ type Engine struct {
 	// Limit, when nonzero, bounds simulated time: Run returns once the
 	// next event would fire after Limit.
 	Limit uint64
+	// limit is the bound of the loop in progress (math.MaxUint64 for none),
+	// read by runLocal and by a parked proc acting as the loop.
+	limit uint64
 
 	rng *Rand
 
@@ -46,7 +50,9 @@ func (e *Engine) UseMetrics(r *metrics.Registry) {
 // replaced with a fixed default so the zero-ish configuration stays
 // deterministic.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRand(seed)}
+	e := &Engine{rng: NewRand(seed)}
+	e.q.presize()
+	return e
 }
 
 // Now returns the current simulation time in cycles.
@@ -93,7 +99,7 @@ func (e *Engine) release(ev *Event) {
 func (e *Engine) Schedule(delay uint64, fn func()) Handle {
 	ev := e.alloc(delay)
 	ev.fn = fn
-	e.heap.push(ev)
+	e.q.push(ev, delay)
 	return Handle{ev, ev.gen}
 }
 
@@ -106,7 +112,7 @@ func (e *Engine) ScheduleArg(delay uint64, fn func(any), arg any) Handle {
 	ev := e.alloc(delay)
 	ev.fnArg = fn
 	ev.arg = arg
-	e.heap.push(ev)
+	e.q.push(ev, delay)
 	return Handle{ev, ev.gen}
 }
 
@@ -118,7 +124,7 @@ func (e *Engine) scheduleProc(delay uint64, p *Proc) Handle {
 	ev := e.alloc(delay)
 	ev.proc = p
 	ev.site = p.site
-	e.heap.push(ev)
+	e.q.push(ev, delay)
 	return Handle{ev, ev.gen}
 }
 
@@ -169,7 +175,7 @@ func (e *Engine) Cancel(h Handle) {
 	if ev == nil || ev.gen != h.gen || ev.index < 0 {
 		return
 	}
-	e.heap.remove(int(ev.index))
+	e.q.remove(ev)
 	e.release(ev)
 }
 
@@ -193,33 +199,50 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // of a partition group drives the whole group (see partition.go). A panic in
 // proc code propagates out of Run; the engine must not be used after it.
 func (e *Engine) Run() uint64 {
-	if e.g != nil {
-		return e.g.run(e)
+	limit := uint64(math.MaxUint64)
+	if e.Limit != 0 {
+		limit = e.Limit
 	}
-	return e.runLocal()
+	if e.g != nil {
+		return e.g.run(limit)
+	}
+	return e.runLocal(limit)
 }
 
-// runLocal is the serial event loop over this engine's own heap — the whole
-// story for a standalone engine, and one shard's share of a group window
-// (the group coordinator bounds it with Limit).
-func (e *Engine) runLocal() uint64 {
+// RunUntil executes events up to and including time t, then returns. Events
+// scheduled after t remain queued. Unlike Limit, t == 0 is a bound (only
+// events due at 0 run), and a t before Now leaves the clock where it is.
+func (e *Engine) RunUntil(t uint64) uint64 {
+	if e.g != nil {
+		return e.g.run(t)
+	}
+	return e.runLocal(t)
+}
+
+// runLocal is the serial event loop over this engine's own queue — the
+// whole story for a standalone engine, and one shard's share of a group
+// window (the group coordinator bounds it with limit).
+func (e *Engine) runLocal(limit uint64) uint64 {
 	if e.current != nil {
 		panic("sim: Run called from proc context")
 	}
 	e.stopped = false
+	e.limit = limit
 	for !e.stopped {
-		ev := e.heap.peek()
+		ev := e.q.peek()
 		if ev == nil {
 			break
 		}
-		if e.Limit != 0 && ev.at > e.Limit {
+		if ev.at > limit {
 			// Leave the event queued: peeking (rather than pop + push-back)
 			// means a RunUntil loop stepping below the next event's time
-			// does no heap work per step.
-			e.now = e.Limit
+			// does no queue work per step.
+			if limit > e.now {
+				e.now = limit
+			}
 			break
 		}
-		e.heap.pop()
+		e.q.pop(ev)
 		if ev.at < e.now {
 			panic("sim: event queue went backwards")
 		}
@@ -245,27 +268,17 @@ func (e *Engine) runLocal() uint64 {
 	return e.now
 }
 
-// RunUntil executes events up to and including time t, then returns. Events
-// scheduled after t remain queued.
-func (e *Engine) RunUntil(t uint64) uint64 {
-	saved := e.Limit
-	e.Limit = t
-	end := e.Run()
-	e.Limit = saved
-	return end
-}
-
 // Pending reports how many events remain queued (across every shard, for a
 // grouped engine).
 func (e *Engine) Pending() int {
 	if g := e.g; g != nil {
 		total := 0
 		for _, sh := range g.shards {
-			total += sh.heap.len()
+			total += sh.q.len()
 		}
 		return total
 	}
-	return e.heap.len()
+	return e.q.len()
 }
 
 // LiveProcs reports how many spawned procs have not yet returned (across

@@ -321,3 +321,83 @@ func TestScheduleOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRunUntilNeverRewindsClock: a RunUntil bound below Now leaves the clock
+// where it is, so a later zero-based Schedule cannot land before a time the
+// run already reached.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(100, func() {})
+	e.RunUntil(50)
+	e.RunUntil(20)
+	if e.Now() != 50 {
+		t.Fatalf("Now() = %d after RunUntil(50) then RunUntil(20), want 50", e.Now())
+	}
+	var at uint64
+	e.Schedule(5, func() { at = e.Now() })
+	e.RunUntil(60)
+	if at != 55 {
+		t.Errorf("Schedule(5) after the clock reached 50 fired at %d, want 55", at)
+	}
+}
+
+// TestRunUntilZero: RunUntil(0) is a bound like any other — only events due
+// at 0 run — even though a zero Limit means "unbounded".
+func TestRunUntilZero(t *testing.T) {
+	e := NewEngine(1)
+	var fired []uint64
+	e.Schedule(0, func() { fired = append(fired, e.Now()) })
+	h := e.Schedule(100, func() { fired = append(fired, e.Now()) })
+	e.RunUntil(0)
+	if len(fired) != 1 || fired[0] != 0 {
+		t.Fatalf("RunUntil(0) fired %v, want [0]", fired)
+	}
+	if e.Now() != 0 || !h.Pending() {
+		t.Fatalf("RunUntil(0) left Now() = %d, later event pending %v", e.Now(), h.Pending())
+	}
+	e.Run()
+	if len(fired) != 2 || e.Now() != 100 {
+		t.Errorf("Run after RunUntil(0): fired %v, Now() = %d", fired, e.Now())
+	}
+}
+
+// TestLaneHandle: a zero-delay event waits in the lane, and its Handle reads
+// and cancels exactly like a heap event's.
+func TestLaneHandle(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(10, func() {
+		fired := 0
+		a := e.Schedule(0, func() { fired++ })
+		b := e.Schedule(0, func() { fired += 10 })
+		c := e.Schedule(0, func() { fired += 100 })
+		if a.ev.index != laneIndex || b.ev.index != laneIndex {
+			t.Fatal("zero-delay events did not take the lane")
+		}
+		if !b.Pending() || b.Time() != 10 {
+			t.Fatalf("lane handle: Pending %v, Time %d; want true, 10", b.Pending(), b.Time())
+		}
+		if got := e.Pending(); got != 3 {
+			t.Fatalf("Pending() = %d with three lane events, want 3", got)
+		}
+		e.Cancel(b)
+		if b.Pending() || b.Time() != 0 {
+			t.Fatal("cancelled lane event still pending")
+		}
+		if got := e.Pending(); got != 2 {
+			t.Fatalf("Pending() = %d after a lane cancel, want 2", got)
+		}
+		e.Cancel(b) // double cancel: a no-op
+		e.Schedule(0, func() {
+			if fired != 101 {
+				t.Errorf("lane events fired %d, want a and c only (101)", fired)
+			}
+			if a.Pending() || c.Pending() {
+				t.Error("fired lane events still pending")
+			}
+		})
+	})
+	e.Run()
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after Run, want 0", e.Pending())
+	}
+}

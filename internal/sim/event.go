@@ -31,7 +31,7 @@ type Event struct {
 	proc  *Proc
 
 	gen   uint32 // bumped on release; Handles carry the gen they were issued at
-	index int32  // heap position, -1 while not queued
+	index int32  // heap position, laneIndex in the zero-delay lane, -1 while not queued
 	site  Site   // schedule-site label for the cost profiler (SiteMisc default)
 	next  *Event // free-list link while released
 }

@@ -1,8 +1,9 @@
 package sim
 
 // eventHeap is a 4-ary min-heap of events ordered by (at, seq), specialized
-// to *Event so push/pop stay monomorphic — no container/heap interface
-// dispatch, no boxing through any. The seq tiebreak makes pop order — and
+// to *Event so its operations stay monomorphic — no container/heap interface
+// dispatch, no boxing through any. Its one owner, eventQueue, inserts by
+// appending and calling siftUp. The seq tiebreak makes pop order — and
 // therefore the whole simulation — deterministic. Each event tracks its own
 // slot (Event.index), so Cancel removes from the middle in O(log n) without
 // a search.
@@ -31,12 +32,6 @@ func (h *eventHeap) peek() *Event {
 		return nil
 	}
 	return h.a[0]
-}
-
-// push inserts ev and records its slot in ev.index.
-func (h *eventHeap) push(ev *Event) {
-	h.a = append(h.a, ev)
-	h.siftUp(len(h.a)-1, ev)
 }
 
 // pop removes and returns the minimum event, marking it unqueued.

@@ -65,7 +65,9 @@ func NewParallelGroup(seed uint64, parts int, lookahead uint64) *Group {
 	for i := range g.shards {
 		// Decorrelate the per-shard streams: consecutive seeds would start
 		// splitmix64 one increment apart.
-		g.shards[i] = &Engine{rng: NewRand(seed + 0x9e3779b97f4a7c15*uint64(i)), g: g, part: i}
+		sh := &Engine{rng: NewRand(seed + 0x9e3779b97f4a7c15*uint64(i)), g: g, part: i}
+		sh.q.presize()
+		g.shards[i] = sh
 	}
 	g.staging = make([][]staged, parts*parts)
 	g.barrierWaits = make([]uint64, parts)
@@ -82,13 +84,13 @@ func (g *Group) Shard(i int) *Engine { return g.shards[i] }
 type ShardStat struct {
 	Part         int
 	Now          uint64
-	HeapDepth    int
+	HeapDepth    int // queued events, heap and zero-delay lane together
 	LiveProcs    int
 	BarrierWaits uint64 // windows this shard had nothing to run
 }
 
 // GroupStats snapshots the group for diagnostics (watchdog reports): per-
-// shard heap depth and clock, the last horizon, and barrier counts.
+// shard queue depth and clock, the last horizon, and barrier counts.
 type GroupStats struct {
 	Horizon  uint64 // last window's exclusive upper bound
 	Barriers uint64 // windows completed
@@ -103,30 +105,28 @@ func (g *Group) Stats() GroupStats {
 	s := GroupStats{Horizon: g.horizon, Barriers: g.barriers, Staged: g.stagedTotal}
 	s.Shards = make([]ShardStat, len(g.shards))
 	for i, sh := range g.shards {
-		s.Shards[i] = ShardStat{Part: i, Now: sh.now, HeapDepth: sh.heap.len(),
+		s.Shards[i] = ShardStat{Part: i, Now: sh.now, HeapDepth: sh.q.len(),
 			LiveProcs: sh.live, BarrierWaits: g.barrierWaits[i]}
 	}
 	return s
 }
 
 // run drives the whole group (Engine.Run delegates here for grouped
-// engines): it executes conservative lookahead windows until every heap is
-// empty, Stop is called, or the invoking engine's limit is reached. Each
-// window: find the global minimum next-event time m, run every shard
+// engines): it executes conservative lookahead windows until every queue is
+// empty, Stop is called, or limit is reached. Each window: find the global minimum next-event time m, run every shard
 // concurrently up to the horizon h = m + lookahead (exclusive), then drain
 // the staging queues at the barrier. Determinism: every executed event has
 // time >= m, so every staged event fires at >= m + lookahead = h — strictly
 // after everything executed this window — and the drain assigns destination
 // sequence numbers in the fixed (source partition, time, staging order)
 // order, independent of goroutine interleaving.
-func (g *Group) run(from *Engine) uint64 {
-	limit := from.Limit
+func (g *Group) run(limit uint64) uint64 {
 	g.parStop.Store(false)
 	for !g.parStop.Load() {
 		minAt := uint64(math.MaxUint64)
 		idle := true
 		for _, sh := range g.shards {
-			if ev := sh.heap.peek(); ev != nil {
+			if ev := sh.q.peek(); ev != nil {
 				idle = false
 				if ev.at < minAt {
 					minAt = ev.at
@@ -136,7 +136,7 @@ func (g *Group) run(from *Engine) uint64 {
 		if idle {
 			break
 		}
-		if limit != 0 && minAt > limit {
+		if minAt > limit {
 			for _, sh := range g.shards {
 				if sh.now < limit {
 					sh.now = limit
@@ -145,7 +145,7 @@ func (g *Group) run(from *Engine) uint64 {
 			break
 		}
 		h := minAt + g.lookahead
-		if limit != 0 && h > limit+1 {
+		if h-1 > limit {
 			h = limit + 1
 		}
 		// Shards with nothing below the horizon only wait at the barrier;
@@ -153,7 +153,7 @@ func (g *Group) run(from *Engine) uint64 {
 		// goroutines.
 		var wg sync.WaitGroup
 		for i, sh := range g.shards {
-			if ev := sh.heap.peek(); ev == nil || ev.at >= h {
+			if ev := sh.q.peek(); ev == nil || ev.at >= h {
 				g.barrierWaits[i]++
 				continue
 			}
@@ -164,9 +164,7 @@ func (g *Group) run(from *Engine) uint64 {
 				// (experiment/point from the harness worker), so a profile
 				// slices by partition within a sweep point.
 				pprof.Do(context.Background(), pprof.Labels("partition", strconv.Itoa(sh.part)), func(context.Context) {
-					sh.Limit = h - 1
-					sh.runLocal()
-					sh.Limit = 0
+					sh.runLocal(h - 1)
 				})
 			}(sh)
 		}
@@ -191,7 +189,7 @@ func (g *Group) stage(src, dst int, s staged) {
 	*q = append(*q, s)
 }
 
-// drainStaged moves every staged event onto its destination heap. Order is
+// drainStaged moves every staged event onto its destination queue. Order is
 // fixed — destination, then source partition index, then timestamp, then
 // staging sequence — so the destination sequence numbers (and therefore
 // same-cycle tie-breaks) never depend on scheduling noise. An entry below
@@ -213,12 +211,14 @@ func (g *Group) drainStaged(h uint64) {
 				if s.at < h {
 					panic(fmt.Sprintf("sim: staged cross-partition event at t=%d violates the lookahead horizon %d (shard %d -> %d)", s.at, h, src, dst))
 				}
-				ev := de.alloc(0)
-				ev.at = s.at
+				// The destination's clock is below the horizon, so the delay
+				// is positive and the event goes on the heap.
+				delay := s.at - de.now
+				ev := de.alloc(delay)
 				ev.fnArg = s.fn
 				ev.arg = s.arg
 				ev.site = s.site
-				de.heap.push(ev)
+				de.q.push(ev, delay)
 				g.stagedTotal++
 				*s = staged{}
 			}

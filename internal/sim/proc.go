@@ -112,17 +112,17 @@ func (p *Proc) park() {
 	e.current = nil
 	p.chained = true
 	for !e.stopped {
-		ev := e.heap.peek()
+		ev := e.q.peek()
 		if ev == nil {
 			break
 		}
-		if e.Limit != 0 && ev.at > e.Limit {
+		if ev.at > e.limit {
 			break
 		}
 		if q := ev.proc; q != nil && q != p && q.chained {
 			break // wake for an ancestor: unwind the chain to it
 		}
-		e.heap.pop()
+		e.q.pop(ev)
 		if ev.at < e.now {
 			panic("sim: event queue went backwards")
 		}
