@@ -21,9 +21,10 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleZeroDelay measures the zero-delay lane: one event
+// BenchmarkScheduleZeroDelay measures a zero-delay schedule: one event
 // scheduled for the current cycle and fired per iteration, the path of task
-// wakes, Yield and Cond.Signal. The event never touches the heap.
+// wakes, Yield and Cond.Signal. The event joins the current cycle's wheel
+// bucket and never touches the heap.
 func BenchmarkScheduleZeroDelay(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
@@ -113,7 +114,8 @@ func BenchmarkSpawn(b *testing.B) {
 }
 
 // BenchmarkHeapChurn measures cancel+reschedule against a deep queue: the
-// 4-ary heap's middle-removal and insert with ~1k events pending.
+// 4-ary heap's middle-removal and insert with ~1k events pending, all far
+// beyond the wheel.
 func BenchmarkHeapChurn(b *testing.B) {
 	e := NewEngine(7)
 	fn := func() {}
@@ -133,8 +135,8 @@ func BenchmarkHeapChurn(b *testing.B) {
 
 // BenchmarkLockstepSpend measures barrier's shape: 8 procs, each looping
 // "schedule a delayed callback that wakes me, then park", so every round is
-// 8 heap events that each issue a zero-delay wake through the lane. One op
-// is one round: every proc spends once.
+// 8 events in one wheel bucket that each issue a zero-delay wake. One op is
+// one round: every proc spends once.
 func BenchmarkLockstepSpend(b *testing.B) {
 	const procs, spend = 8, 10
 	e := NewEngine(1)
@@ -149,6 +151,29 @@ func BenchmarkLockstepSpend(b *testing.B) {
 	}
 	// The first round fills the event pool; time the rest.
 	e.RunUntil(spend)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkDeepQueue measures bigmesh's shape: 4,096 pending events with
+// delays drawn from 50–223 cycles, where each op fires one event and
+// schedules one in its place. Every event waits in a wheel bucket, so a
+// fire is a bucket-head advance rather than a sift through a heap of 4k.
+func BenchmarkDeepQueue(b *testing.B) {
+	const pending = 4096
+	e := NewEngine(7)
+	fired := 0
+	var fn func()
+	fn = func() {
+		if fired++; fired == b.N {
+			e.Stop()
+		}
+		e.Schedule(50+e.Rand().Uint64n(174), fn)
+	}
+	for i := 0; i < pending; i++ {
+		e.Schedule(50+e.Rand().Uint64n(174), fn)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

@@ -99,7 +99,7 @@ func (e *Engine) release(ev *Event) {
 func (e *Engine) Schedule(delay uint64, fn func()) Handle {
 	ev := e.alloc(delay)
 	ev.fn = fn
-	e.q.push(ev, delay)
+	e.q.push(ev)
 	return Handle{ev, ev.gen}
 }
 
@@ -112,7 +112,7 @@ func (e *Engine) ScheduleArg(delay uint64, fn func(any), arg any) Handle {
 	ev := e.alloc(delay)
 	ev.fnArg = fn
 	ev.arg = arg
-	e.q.push(ev, delay)
+	e.q.push(ev)
 	return Handle{ev, ev.gen}
 }
 
@@ -124,7 +124,7 @@ func (e *Engine) scheduleProc(delay uint64, p *Proc) Handle {
 	ev := e.alloc(delay)
 	ev.proc = p
 	ev.site = p.site
-	e.q.push(ev, delay)
+	e.q.push(ev)
 	return Handle{ev, ev.gen}
 }
 

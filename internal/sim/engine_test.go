@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -361,43 +362,127 @@ func TestRunUntilZero(t *testing.T) {
 	}
 }
 
-// TestLaneHandle: a zero-delay event waits in the lane, and its Handle reads
-// and cancels exactly like a heap event's.
-func TestLaneHandle(t *testing.T) {
+// TestWheelHandle: events a few cycles out wait in one wheel bucket, and
+// their Handles read and cancel exactly like a heap event's — whether the
+// cancel hits the bucket's head, middle or tail.
+func TestWheelHandle(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(10, func() {
 		fired := 0
-		a := e.Schedule(0, func() { fired++ })
-		b := e.Schedule(0, func() { fired += 10 })
-		c := e.Schedule(0, func() { fired += 100 })
-		if a.ev.index != laneIndex || b.ev.index != laneIndex {
-			t.Fatal("zero-delay events did not take the lane")
+		hs := make([]Handle, 5)
+		for i := range hs {
+			v := 1
+			for j := 0; j < i; j++ {
+				v *= 10
+			}
+			hs[i] = e.Schedule(3, func() { fired += v })
 		}
-		if !b.Pending() || b.Time() != 10 {
-			t.Fatalf("lane handle: Pending %v, Time %d; want true, 10", b.Pending(), b.Time())
+		far := e.Schedule(3*wheelSize, func() { fired += 100_000 })
+		for _, h := range hs {
+			if h.ev.index != wheelIndex {
+				t.Fatal("near events did not take the wheel")
+			}
+		}
+		if far.ev.index == wheelIndex {
+			t.Fatal("an event three wheel widths out took the wheel")
+		}
+		if !hs[2].Pending() || hs[2].Time() != 13 {
+			t.Fatalf("wheel handle: Pending %v, Time %d; want true, 13", hs[2].Pending(), hs[2].Time())
+		}
+		if got := e.Pending(); got != 6 {
+			t.Fatalf("Pending() = %d with five wheel events and one heap event, want 6", got)
+		}
+		for _, i := range []int{0, 2, 4} { // head, middle, tail
+			e.Cancel(hs[i])
+			if hs[i].Pending() || hs[i].Time() != 0 {
+				t.Fatalf("cancelled wheel event %d still pending", i)
+			}
 		}
 		if got := e.Pending(); got != 3 {
-			t.Fatalf("Pending() = %d with three lane events, want 3", got)
+			t.Fatalf("Pending() = %d after three wheel cancels, want 3", got)
 		}
-		e.Cancel(b)
-		if b.Pending() || b.Time() != 0 {
-			t.Fatal("cancelled lane event still pending")
-		}
-		if got := e.Pending(); got != 2 {
-			t.Fatalf("Pending() = %d after a lane cancel, want 2", got)
-		}
-		e.Cancel(b) // double cancel: a no-op
-		e.Schedule(0, func() {
-			if fired != 101 {
-				t.Errorf("lane events fired %d, want a and c only (101)", fired)
+		e.Cancel(hs[2]) // double cancel: a no-op
+		e.Schedule(3, func() {
+			if fired != 1010 {
+				t.Errorf("wheel events fired %d, want the second and fourth only (1010)", fired)
 			}
-			if a.Pending() || c.Pending() {
-				t.Error("fired lane events still pending")
+			if hs[1].Pending() || hs[3].Pending() {
+				t.Error("fired wheel events still pending")
 			}
 		})
 	})
 	e.Run()
-	if e.Pending() != 0 {
-		t.Errorf("Pending() = %d after Run, want 0", e.Pending())
+	if e.Pending() != 0 || e.Now() != 10+3*wheelSize {
+		t.Errorf("Pending() = %d, Now() = %d after Run, want 0, %d", e.Pending(), e.Now(), 10+3*wheelSize)
+	}
+}
+
+// TestHeapAndBucketMergeAtSameCycle: an event that overflowed to the heap and
+// a later-issued wheel event due at the same cycle fire in issue order.
+func TestHeapAndBucketMergeAtSameCycle(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	early := e.Schedule(300, func() { order = append(order, "heap") })
+	var late Handle
+	e.Schedule(100, func() {
+		late = e.Schedule(200, func() { order = append(order, "wheel") })
+		e.Schedule(200, func() { order = append(order, "wheel2") })
+	})
+	e.RunUntil(100)
+	if early.ev.index == wheelIndex || late.ev.index != wheelIndex {
+		t.Fatalf("placement: first event index %d, second %d; want heap, wheel", early.ev.index, late.ev.index)
+	}
+	e.Run()
+	if got := fmt.Sprint(order); got != "[heap wheel wheel2]" || e.Now() != 300 {
+		t.Errorf("fired %s at %d, want [heap wheel wheel2] at 300", got, e.Now())
+	}
+}
+
+// TestRunUntilFarPastEmptyWheel: after RunUntil jumps the clock many wheel
+// widths past the last pop, with nothing due before the bound, small-delay
+// schedules still fire in (time, issue) order, including ones issued from
+// inside callbacks.
+func TestRunUntilFarPastEmptyWheel(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(7, func() {})
+	e.Run()
+	const jump = 40*wheelSize + 17
+	e.Schedule(100*wheelSize, func() {}) // deferred, so RunUntil pins the clock
+	e.RunUntil(jump)
+	if e.Now() != jump {
+		t.Fatalf("Now() = %d after RunUntil(%d) on an empty queue", e.Now(), jump)
+	}
+	type fire struct {
+		at    uint64
+		issue int
+	}
+	var got []fire
+	issued := 0
+	var sched func(delay uint64, children int)
+	sched = func(delay uint64, children int) {
+		issue := issued
+		issued++
+		e.Schedule(delay, func() {
+			got = append(got, fire{e.Now(), issue})
+			for c := 0; c < children; c++ {
+				sched(uint64(c), 0)
+			}
+		})
+	}
+	for _, d := range []uint64{5, 0, 3, 300, 5, 0, wheelSize - 1} {
+		sched(d, 2)
+	}
+	e.Run()
+	if len(got) != 21 {
+		t.Fatalf("%d events fired, want 21", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if b.at < a.at || (b.at == a.at && b.issue < a.issue) {
+			t.Fatalf("event %d (at %d) fired after event %d (at %d)", b.issue, b.at, a.issue, a.at)
+		}
+	}
+	if got[0] != (fire{jump, 1}) || got[len(got)-1].at != jump+301 {
+		t.Errorf("first fire %+v, last %+v; want issue 1 at %d first and the last at %d", got[0], got[len(got)-1], jump, jump+301)
 	}
 }

@@ -31,9 +31,9 @@ type Event struct {
 	proc  *Proc
 
 	gen   uint32 // bumped on release; Handles carry the gen they were issued at
-	index int32  // heap position, laneIndex in the zero-delay lane, -1 while not queued
+	index int32  // heap position, wheelIndex in a wheel bucket, -1 while not queued
 	site  Site   // schedule-site label for the cost profiler (SiteMisc default)
-	next  *Event // free-list link while released
+	next  *Event // free-list link while released, bucket link while on the wheel
 }
 
 // Handle is a cancellable reference to a scheduled event. The zero Handle is

@@ -6,12 +6,15 @@ import "testing"
 // queue's order contract end to end. Each byte b is one op: b%8 picks the
 // kind and a = b>>3 is its argument.
 //
-//   - 0–2: schedule a zero-delay callback, so lane events are common; an odd
-//     a makes the callback schedule a zero-delay child when it fires;
-//   - 3: schedule a callback with delay a%8, with a child when a&8 is set;
-//   - 4, 5: cancel the a-th still-pending event, lane or heap;
+//   - 0–2: schedule a zero-delay callback, so same-cycle ties are common; an
+//     odd a makes the callback schedule a zero-delay child when it fires;
+//   - 3: schedule a callback with delay a%8, or with farDelays[a%8] (around
+//     and beyond the wheel's width, so events overflow to the heap) when
+//     a&16 is set, with a child when a&8 is set;
+//   - 4, 5: cancel the a-th still-pending event, wheel or heap;
 //   - 6: RunUntil(Now() + a%16 - 4), saturating at 0, so some bounds fall
-//     below Now;
+//     below Now; when a&16 is set, RunUntil(Now() + (a%16)*200) instead, a
+//     jump of up to about twelve wheel widths;
 //   - 7: schedule, with delay a%4, a callback that cancels the a-th pending
 //     event.
 //
@@ -20,7 +23,9 @@ import "testing"
 // number) — the reference sort — Now must never decrease, a cancelled event
 // must never fire, and after a final Run every other event has fired once.
 func FuzzEngineOrder(f *testing.F) {
-	// The zero-delay burst and lane-cancel seeds live in testdata/fuzz.
+	farDelays := [8]uint64{wheelSize - 1, wheelSize, wheelSize + 1, 300, 2*wheelSize - 1, 2 * wheelSize, 700, 1000}
+	// The zero-delay burst, cancel, wheel-wrap and overflow-merge seeds live
+	// in testdata/fuzz.
 	f.Add([]byte{0x2b, 0x5b, 0x4e, 0x09, 0x07, 0x0f, 0x7e})       // nested schedules and in-callback cancels
 	f.Add([]byte{0x2b, 0x4e, 0x06, 0x00, 0x0e, 0x01, 0x7e, 0x06}) // RunUntil steps, some below Now
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -84,14 +89,21 @@ func FuzzEngineOrder(f *testing.F) {
 			case 0, 1, 2:
 				schedule(0, arg&1 != 0, nil)
 			case 3:
-				schedule(uint64(arg%8), arg&8 != 0, nil)
+				delay := uint64(arg % 8)
+				if arg&16 != 0 {
+					delay = farDelays[arg%8]
+				}
+				schedule(delay, arg&8 != 0, nil)
 			case 4, 5:
 				cancelPending(arg)
 			case 6:
 				bound := e.Now() + uint64(arg%16)
-				if bound >= 4 {
+				switch {
+				case arg&16 != 0:
+					bound = e.Now() + uint64(arg%16)*200
+				case bound >= 4:
 					bound -= 4
-				} else {
+				default:
 					bound = 0
 				}
 				before := e.Now()

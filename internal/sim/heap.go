@@ -2,11 +2,11 @@ package sim
 
 // eventHeap is a 4-ary min-heap of events ordered by (at, seq), specialized
 // to *Event so its operations stay monomorphic — no container/heap interface
-// dispatch, no boxing through any. Its one owner, eventQueue, inserts by
-// appending and calling siftUp. The seq tiebreak makes pop order — and
-// therefore the whole simulation — deterministic. Each event tracks its own
-// slot (Event.index), so Cancel removes from the middle in O(log n) without
-// a search.
+// dispatch, no boxing through any. Its one owner, eventQueue, keeps on it
+// the events due beyond the timing wheel. The seq tiebreak makes pop order
+// — and therefore the whole simulation — deterministic. Each event tracks
+// its own slot (Event.index), so Cancel removes from the middle in
+// O(log n) without a search.
 //
 // The 4-ary shape trades slightly more comparisons per level for half the
 // levels of a binary heap; with the hot working set being the first few
@@ -26,12 +26,11 @@ func eventBefore(x, y *Event) bool {
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-// peek returns the minimum event without removing it, nil when empty.
-func (h *eventHeap) peek() *Event {
-	if len(h.a) == 0 {
-		return nil
-	}
-	return h.a[0]
+// push inserts ev. It stays out of line so the wheel path of
+// eventQueue.push carries no append.
+func (h *eventHeap) push(ev *Event) {
+	h.a = append(h.a, ev)
+	h.siftUp(len(h.a)-1, ev)
 }
 
 // pop removes and returns the minimum event, marking it unqueued.

@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -26,11 +24,11 @@ type staged struct {
 // Shards run real goroutines inside conservative lookahead windows: each
 // round executes events in [min, min+lookahead) on all shards concurrently,
 // then a barrier drains cross-shard messages from per-pair staging queues in
-// a fixed order (source partition, then timestamp, then staging sequence),
-// so results are deterministic regardless of worker interleaving. A group
-// requires a partition-clean model: no shared mutable state between shards
-// except messages sent through CrossScheduleArgAtSite with delay >=
-// lookahead. Construct with NewParallelGroup, place model components on
+// a fixed order (source partition, then staging sequence), so results are
+// deterministic regardless of worker interleaving. A group requires a
+// partition-clean model: no shared mutable state between shards except
+// messages sent through CrossScheduleArgAtSite with delay >= lookahead.
+// Construct with NewParallelGroup, place model components on
 // shards (Shard(i)), then Run any shard — the group takes over the whole run.
 type Group struct {
 	shards    []*Engine
@@ -84,7 +82,7 @@ func (g *Group) Shard(i int) *Engine { return g.shards[i] }
 type ShardStat struct {
 	Part         int
 	Now          uint64
-	HeapDepth    int // queued events, heap and zero-delay lane together
+	Queued       int // queued events, wheel and overflow heap together
 	LiveProcs    int
 	BarrierWaits uint64 // windows this shard had nothing to run
 }
@@ -105,7 +103,7 @@ func (g *Group) Stats() GroupStats {
 	s := GroupStats{Horizon: g.horizon, Barriers: g.barriers, Staged: g.stagedTotal}
 	s.Shards = make([]ShardStat, len(g.shards))
 	for i, sh := range g.shards {
-		s.Shards[i] = ShardStat{Part: i, Now: sh.now, HeapDepth: sh.q.len(),
+		s.Shards[i] = ShardStat{Part: i, Now: sh.now, Queued: sh.q.len(),
 			LiveProcs: sh.live, BarrierWaits: g.barrierWaits[i]}
 	}
 	return s
@@ -118,8 +116,8 @@ func (g *Group) Stats() GroupStats {
 // the staging queues at the barrier. Determinism: every executed event has
 // time >= m, so every staged event fires at >= m + lookahead = h — strictly
 // after everything executed this window — and the drain assigns destination
-// sequence numbers in the fixed (source partition, time, staging order)
-// order, independent of goroutine interleaving.
+// sequence numbers in the fixed (source partition, staging order) order,
+// independent of goroutine interleaving.
 func (g *Group) run(limit uint64) uint64 {
 	g.parStop.Store(false)
 	for !g.parStop.Load() {
@@ -190,11 +188,14 @@ func (g *Group) stage(src, dst int, s staged) {
 }
 
 // drainStaged moves every staged event onto its destination queue. Order is
-// fixed — destination, then source partition index, then timestamp, then
-// staging sequence — so the destination sequence numbers (and therefore
-// same-cycle tie-breaks) never depend on scheduling noise. An entry below
-// the horizon means the model broke its lookahead promise; that is a bug in
-// the model, and silently reordering it would corrupt causality, so: panic.
+// fixed — destination, then source partition index, then staging sequence —
+// so the destination sequence numbers (and therefore same-cycle tie-breaks)
+// never depend on scheduling noise. The queue orders by time first, so
+// sorting a cell by time would only relabel sequence numbers across
+// different times: among equal times the order is (source partition,
+// staging order) either way. An entry below the horizon means the model
+// broke its lookahead promise; that is a bug in the model, and silently
+// reordering it would corrupt causality, so: panic.
 func (g *Group) drainStaged(h uint64) {
 	parts := len(g.shards)
 	for dst := 0; dst < parts; dst++ {
@@ -204,21 +205,16 @@ func (g *Group) drainStaged(h uint64) {
 			if len(*cell) == 0 {
 				continue
 			}
-			// Stable, so equal-time entries keep their staging order.
-			slices.SortStableFunc(*cell, func(a, b staged) int { return cmp.Compare(a.at, b.at) })
 			for i := range *cell {
 				s := &(*cell)[i]
 				if s.at < h {
 					panic(fmt.Sprintf("sim: staged cross-partition event at t=%d violates the lookahead horizon %d (shard %d -> %d)", s.at, h, src, dst))
 				}
-				// The destination's clock is below the horizon, so the delay
-				// is positive and the event goes on the heap.
-				delay := s.at - de.now
-				ev := de.alloc(delay)
+				ev := de.alloc(s.at - de.now)
 				ev.fnArg = s.fn
 				ev.arg = s.arg
 				ev.site = s.site
-				de.q.push(ev, delay)
+				de.q.push(ev)
 				g.stagedTotal++
 				*s = staged{}
 			}

@@ -143,7 +143,7 @@ func TestGroupStats(t *testing.T) {
 	g.Shard(0).Schedule(1, func() {})
 	g.Shard(0).Schedule(100, func() {})
 	st := g.Stats()
-	if len(st.Shards) != 2 || st.Shards[0].HeapDepth != 2 {
+	if len(st.Shards) != 2 || st.Shards[0].Queued != 2 {
 		t.Fatalf("pre-run stats wrong: %+v", st)
 	}
 	g.Shard(0).Run()
