@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fugu/internal/cpu"
 	"fugu/internal/glaze"
@@ -18,17 +19,29 @@ type Enum struct {
 	Side      int // pegs per side (the paper runs 6)
 	ShipEvery int // ship the children of every k-th expansion
 
-	moves     [][3]int
+	moves     [][3]int   // jump rules as (from, over, to) hole indices
+	masks     []moveMask // the same rules as bit masks, in the same order
 	holes     int
 	solutions []uint64
 	expanded  []uint64
 	done      bool
 }
 
+// moveMask is one jump rule over the board bitmap: need = from|over must
+// hold pegs, and flip = from|over|to is what the jump toggles.
+type moveMask struct{ need, flip uint64 }
+
+// maxEnumSide keeps the board inside one uint64 with its top bit clear
+// (side 10 has 55 holes), which expand's legality test relies on.
+const maxEnumSide = 10
+
 // NewEnum configures the puzzle. ShipEvery 4 ships a quarter of all
 // expansions to other nodes, keeping communication fine-grained without
-// drowning the network.
+// drowning the network. It panics on a side outside 1..10.
 func NewEnum(side int) *Enum {
+	if side < 1 || side > maxEnumSide {
+		panic(fmt.Sprintf("apps: enum side %d outside 1..%d (the board is one 64-bit word)", side, maxEnumSide))
+	}
 	e := &Enum{Side: side, ShipEvery: 4}
 	e.prepare()
 	return e
@@ -60,7 +73,10 @@ func (s *Enum) prepare() {
 				o, ok1 := idx[over]
 				t, ok2 := idx[to]
 				if ok1 && ok2 {
-					s.moves = append(s.moves, [3]int{idx[[2]int{r, i}], o, t})
+					f := idx[[2]int{r, i}]
+					s.moves = append(s.moves, [3]int{f, o, t})
+					need := uint64(1)<<f | uint64(1)<<o
+					s.masks = append(s.masks, moveMask{need, need | uint64(1)<<t})
 				}
 			}
 		}
@@ -72,35 +88,58 @@ func (s *Enum) initial() uint64 {
 	return (uint64(1)<<s.holes - 1) &^ 1
 }
 
-// expand applies every legal jump to state, calling visit per child. It
-// returns the number of children (0 = leaf).
-func (s *Enum) expand(state uint64, visit func(uint64)) int {
-	children := 0
-	for _, m := range s.moves {
-		from, over, to := uint64(1)<<m[0], uint64(1)<<m[1], uint64(1)<<m[2]
-		if state&from != 0 && state&over != 0 && state&to == 0 {
-			visit(state&^from&^over | to)
-			children++
+// expand appends the child of every legal jump from state to kids, in move
+// order, and returns the extended slice; no children means a leaf. Legality
+// is computed branch-free for up to 64 moves at a time: miss = (state^need)
+// & flip is zero exactly when from and over hold pegs and to is empty, and
+// as miss < 2^63, (miss-1)>>63 is then 1 and otherwise 0.
+func (s *Enum) expand(state uint64, kids []uint64) []uint64 {
+	for base := 0; base < len(s.masks); base += 64 {
+		word := s.masks[base:min(base+64, len(s.masks))]
+		var legal uint64
+		for k := len(word) - 1; k >= 0; k-- {
+			miss := (state ^ word[k].need) & word[k].flip
+			legal = legal<<1 | (miss-1)>>63
+		}
+		for ; legal != 0; legal &= legal - 1 {
+			kids = append(kids, state^word[bits.TrailingZeros64(legal)].flip)
 		}
 	}
-	return children
+	return kids
 }
 
-// SolveSequential enumerates the whole tree on one (real) CPU, for
-// verification. Returns the single-peg solution count and states expanded.
+// enumCount is the size of one subtree of the game.
+type enumCount struct{ solutions, expanded uint64 }
+
+// SolveSequential counts the whole tree on one (real) CPU, for verification.
+// Returns the single-peg solution count and states expanded. A board's
+// subtree is the same wherever the board occurs in the tree, so it counts
+// each distinct board once, memoised, rather than walking every path.
 func (s *Enum) SolveSequential() (solutions, expanded uint64) {
-	stack := []uint64{s.initial()}
-	for len(stack) > 0 {
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		expanded++
-		if s.expand(st, func(c uint64) { stack = append(stack, c) }) == 0 {
-			if popcount(st) == 1 {
-				solutions++
-			}
+	memo := make(map[uint64]enumCount)
+	var kids []uint64 // children of every board on the current path
+	var count func(st uint64) enumCount
+	count = func(st uint64) enumCount {
+		if c, ok := memo[st]; ok {
+			return c
 		}
+		base := len(kids)
+		kids = s.expand(st, kids)
+		c := enumCount{expanded: 1}
+		if len(kids) == base && bits.OnesCount64(st) == 1 {
+			c.solutions = 1
+		}
+		for i := base; i < len(kids); i++ {
+			sub := count(kids[i])
+			c.solutions += sub.solutions
+			c.expanded += sub.expanded
+		}
+		kids = kids[:base]
+		memo[st] = c
+		return c
 	}
-	return
+	c := count(s.initial())
+	return c.solutions, c.expanded
 }
 
 // mix is a splitmix64-style finalizer used for shipping decisions.
@@ -113,15 +152,6 @@ func mix(v uint64) uint64 {
 	return v
 }
 
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
-}
-
 // enumNode is the per-node runtime state of the distributed search.
 type enumNode struct {
 	app   *Enum
@@ -130,6 +160,7 @@ type enumNode struct {
 	nodes int
 
 	stack []uint64
+	kids  []uint64     // scratch for the children of a shipped expansion
 	work  *udm.Counter // wakes the main loop on arrivals
 	black bool         // termination-detection colour
 	sent  int64        // work messages sent minus received
@@ -207,8 +238,11 @@ func (en *enumNode) run(t *cpu.Task) {
 			// placement, which keeps the runtime comparison across skews
 			// meaningful.
 			ship := s.ShipEvery > 0 && en.nodes > 1 && mix(st)%uint64(s.ShipEvery) == 0
-			kids := s.expand(st, func(c uint64) {
-				if ship {
+			var leaf bool
+			if ship {
+				en.kids = s.expand(st, en.kids[:0])
+				leaf = len(en.kids) == 0
+				for _, c := range en.kids {
 					dst := int(mix(c^0xabcd) % uint64(en.nodes-1))
 					if dst >= en.self {
 						dst++
@@ -216,11 +250,13 @@ func (en *enumNode) run(t *cpu.Task) {
 					en.sent++
 					en.ships++
 					e.Inject(dst, hEnumWork, c)
-					return
 				}
-				en.stack = append(en.stack, c)
-			})
-			if kids == 0 && popcount(st) == 1 {
+			} else {
+				n := len(en.stack)
+				en.stack = s.expand(st, en.stack)
+				leaf = len(en.stack) == n
+			}
+			if leaf && bits.OnesCount64(st) == 1 {
 				s.solutions[en.self]++
 			}
 		}
