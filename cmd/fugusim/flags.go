@@ -1,9 +1,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -63,27 +63,28 @@ func registerCommon(fs *flag.FlagSet) *commonFlags {
 }
 
 // resolve validates the shared flags after parsing: -quick and -full are
-// mutually exclusive and -policy must name a registered policy. Violations
-// exit with usage status, like any other bad flag.
-func (c *commonFlags) resolve() {
+// mutually exclusive, -policy must name a registered policy and -niq must
+// parse. Callers exit with usage status on an error, like any other bad
+// flag.
+func (c *commonFlags) resolve() error {
 	if *c.quick && *c.full {
-		fmt.Fprintln(os.Stderr, "fugusim: -quick and -full are mutually exclusive")
-		os.Exit(2)
+		return errors.New("-quick and -full are mutually exclusive")
 	}
 	if *c.policyName != "" {
 		pol, err := delivery.ByName(*c.policyName)
 		if err != nil {
-			fatal(2, err)
+			return err
 		}
 		c.policy = pol
 	}
 	if *c.niqSpec != "" {
 		spec, err := niq.ParseSpec(*c.niqSpec)
 		if err != nil {
-			fatal(2, err)
+			return err
 		}
 		c.queue = spec
 	}
+	return nil
 }
 
 // harnessOptions turns the shared flags into the base harness option set:
@@ -134,9 +135,9 @@ func (c *commonFlags) timelineHook(r *harness.Runner, tls *[]telemetry.LabeledTi
 
 // writeTimelines exports the accumulated timelines as <name>.timeline.csv
 // and .jsonl under the -timeline directory. No timelines, no files.
-func (c *commonFlags) writeTimelines(name string, tls []telemetry.LabeledTimeline) {
+func (c *commonFlags) writeTimelines(name string, tls []telemetry.LabeledTimeline) error {
 	if *c.timelineDir == "" || len(tls) == 0 {
-		return
+		return nil
 	}
 	var csvB, jsonB strings.Builder
 	err := telemetry.WriteCSV(&csvB, tls)
@@ -150,13 +151,14 @@ func (c *commonFlags) writeTimelines(name string, tls []telemetry.LabeledTimelin
 		err = harness.WriteCSV(*c.timelineDir, name+".timeline.jsonl", jsonB.String())
 	}
 	if err != nil {
-		fatal(1, fmt.Errorf("timeline: %w", err))
+		return fmt.Errorf("timeline: %w", err)
 	}
+	return nil
 }
 
 // vetArtifacts refuses pre-existing -metrics/-timeline artifact files for
 // the given experiments before the run starts, unless force is set — the
-// same refuse-overwrite treatment the replay commands give -o, so a long
+// same refuse-overwrite treatment inspect gives -o, so a long
 // sweep can never end by silently destroying the previous run's exports.
 func (c *commonFlags) vetArtifacts(force bool, exps ...*harness.Experiment) error {
 	for _, exp := range exps {

@@ -6,10 +6,7 @@
 //
 //	fugusim list
 //	fugusim run [flags] <experiment>... | all
-//	fugusim trace [flags] <experiment>
-//	fugusim doctor [flags] <experiment>
-//	fugusim explain [flags] <experiment>
-//	fugusim watch [flags] <experiment>
+//	fugusim inspect [flags] <experiment> -point N -with spans,profile,watchdog,timeline,trace
 //
 // Experiments are discovered from the harness registry (`fugusim list`
 // prints them). Sweep points and trials fan out across -j workers; results
@@ -24,31 +21,36 @@
 // delivery oracle and force every second-case cause its -policy can
 // express, the policy lab must pass every oracle, and the NI
 // buffer-economics sweep (bufferlab; `-niq` selects a queue organization on
-// any subcommand) must pass every oracle with a shared organization beating
-// the static FIFO on overflow rate. `run -metrics <dir>` writes each
-// experiment's merged registry snapshot (every point machine's counters,
-// gauges and histograms) as <experiment>.metrics.json and .csv.
+// either subcommand) must pass every oracle with a shared organization
+// beating the static FIFO on overflow rate. `run -metrics <dir>` writes
+// each experiment's merged registry snapshot (every point machine's
+// counters, gauges and histograms) as <experiment>.metrics.json and .csv.
 //
-// `trace`, `doctor`, `explain` and `watch` replay one sweep point serially
-// under extra observers. `trace` installs an event log and exports it as
-// Chrome trace_event JSON (chrome://tracing, Perfetto) or JSON Lines.
-// `doctor` installs the message-lifecycle span recorder and the liveness
-// watchdog, then checks delivery invariants; a wedged run terminates with a
-// diagnostic report (exit status 3) instead of hanging. `explain` installs
-// the span recorder and the engine cost profiler and renders the latency
-// anatomy: the per-stage dwell waterfall, dwell broken down by (policy,
-// stage, cause), per-node and per-link heat, the slowest messages with
-// their stage timelines, and the engine's own cost by schedule site (with
-// `-folded` emitting flamegraph input). `watch` enables interval sampling
-// and streams a live terminal dashboard (fast/buffered deliveries, queue
-// depths, pinned pages, NACKs, per-node mode glyphs) as simulated time
-// advances.
+// `inspect` replays one sweep point serially under the observers named by
+// -with, and each observer adds its own section to the text report:
 //
-// `-timeline <dir>` (every subcommand but list) enables the flight recorder
-// on every point machine and writes each experiment's per-interval
-// timelines as <experiment>.timeline.csv and .jsonl; `-timeline-every`
-// tunes the sampling interval in simulated cycles. Existing -metrics and
-// -timeline files are refused before the run unless -force is given.
+//   - spans: the message-lifecycle recorder's delivery invariants (every
+//     message reached exactly one terminal state, span counts reconcile
+//     with the delivery counters, per-stage dwells sum to end-to-end
+//     latency; a violation exits 1), the per-stage dwell waterfall, dwell
+//     by (policy, stage, cause), per-node and per-link heat, and the
+//     slowest messages with their stage timelines.
+//   - profile: the engine's own cost by schedule site; -folded also writes
+//     it as flamegraph input.
+//   - watchdog: the liveness watchdog; a wedged run stops with a
+//     diagnostic report and exit status 3 instead of hanging.
+//   - timeline: interval sampling, streamed as dashboard rows
+//     (fast/buffered deliveries, queue depths, pinned pages, NACKs,
+//     per-node mode glyphs) as simulated time advances.
+//   - trace: an event log exported to -trace-out as Chrome trace_event JSON
+//     (chrome://tracing, Perfetto), or as JSON Lines when the path ends in
+//     .jsonl.
+//
+// `-timeline <dir>` (either subcommand) enables the flight recorder on
+// every point machine and writes each experiment's per-interval timelines
+// as <experiment>.timeline.csv and .jsonl; `-timeline-every` tunes the
+// sampling interval in simulated cycles. Existing -metrics and -timeline
+// files are refused before the run unless -force is given.
 //
 // Quick mode (default) scales workloads down so the whole suite runs in
 // minutes; -full uses the paper's sizes. This command is the only place
@@ -82,10 +84,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage:\n")
 		fmt.Fprintf(os.Stderr, "  fugusim list\n")
 		fmt.Fprintf(os.Stderr, "  fugusim run [flags] <experiment>... | all\n")
-		fmt.Fprintf(os.Stderr, "  fugusim trace [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "  fugusim doctor [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "  fugusim explain [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "  fugusim watch [flags] <experiment>\n")
+		fmt.Fprintf(os.Stderr, "  fugusim inspect [flags] <experiment> -point N -with %s\n", strings.Join(observerNames, ","))
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", harness.Names())
 		flag.PrintDefaults()
 	}
@@ -100,31 +99,25 @@ func main() {
 	case "list":
 		list(os.Stdout)
 		return
-	case "trace":
-		traceCmd(flag.Args()[1:])
-		return
-	case "doctor":
-		doctorCmd(flag.Args()[1:])
-		return
-	case "explain":
-		explainCmd(flag.Args()[1:])
-		return
-	case "watch":
-		watchCmd(flag.Args()[1:])
-		return
+	case "inspect":
+		_, code := inspectCmd(flag.Args()[1:], os.Stdout, os.Stderr)
+		os.Exit(code)
 	case "run":
 		// Flags may also follow the subcommand and the experiment names:
-		// `fugusim run fig9 -quick -metrics out/`.
-		names = parseInterleaved(flag.CommandLine, flag.Args()[1:])
+		// `fugusim run fig9 -quick -metrics out/`. flag.CommandLine exits
+		// on a bad flag, so no parse error comes back here.
+		names, _ = parseInterleaved(flag.CommandLine, flag.Args()[1:])
 	default:
 		// Legacy spelling: `fugusim table4`, `fugusim all`.
-		names = parseInterleaved(flag.CommandLine, flag.Args())
+		names, _ = parseInterleaved(flag.CommandLine, flag.Args())
 	}
 	if len(names) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	common.resolve()
+	if err := common.resolve(); err != nil {
+		fatal(2, err)
+	}
 	exps, err := expandNames(names)
 	if err != nil {
 		fatal(2, err)
@@ -164,7 +157,11 @@ func main() {
 
 	for _, exp := range exps {
 		if *common.metricsDir != "" {
-			runner.OnMetrics = writeMetrics(*common.metricsDir, exp.Name)
+			runner.OnMetrics = func(s metrics.Snapshot) {
+				if err := writeMetrics(*common.metricsDir, exp.Name, s); err != nil {
+					fatal(1, err)
+				}
+			}
 		}
 		var tls []telemetry.LabeledTimeline
 		common.timelineHook(runner, &tls)
@@ -174,7 +171,9 @@ func main() {
 		if err != nil {
 			fatal(1, fmt.Errorf("%s: %w", exp.Name, err))
 		}
-		common.writeTimelines(exp.Name, tls)
+		if err := common.writeTimelines(exp.Name, tls); err != nil {
+			fatal(1, err)
+		}
 		res.Print(os.Stdout)
 		fmt.Printf("(%s took %.1fs)\n\n", exp.Name, time.Since(start).Seconds())
 		if *csvDir != "" {
@@ -204,27 +203,28 @@ func fatal(code int, err error) {
 	os.Exit(code)
 }
 
-// writeMetrics returns the Runner hook that saves an experiment's merged
-// snapshot as <name>.metrics.json and <name>.metrics.csv under dir.
-func writeMetrics(dir, name string) func(metrics.Snapshot) {
-	return func(s metrics.Snapshot) {
-		err := harness.WriteCSV(dir, name+".metrics.json", string(s.JSON()))
-		if err == nil {
-			err = harness.WriteCSV(dir, name+".metrics.csv", s.CSV())
-		}
-		if err != nil {
-			fatal(1, fmt.Errorf("metrics: %w", err))
-		}
+// writeMetrics saves an experiment's merged snapshot as <name>.metrics.json
+// and <name>.metrics.csv under dir.
+func writeMetrics(dir, name string, s metrics.Snapshot) error {
+	err := harness.WriteCSV(dir, name+".metrics.json", string(s.JSON()))
+	if err == nil {
+		err = harness.WriteCSV(dir, name+".metrics.csv", s.CSV())
 	}
+	if err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	return nil
 }
 
 // parseInterleaved parses flags that may appear before, between or after
 // positional arguments; Go's flag package stops at the first positional, so
 // re-parse the remainder each time one (or a run of them) is collected.
-func parseInterleaved(fs *flag.FlagSet, args []string) []string {
+func parseInterleaved(fs *flag.FlagSet, args []string) ([]string, error) {
 	var names []string
 	for {
-		fs.Parse(args) // ExitOnError: a bad flag never returns
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
 		args = fs.Args()
 		i := 0
 		for i < len(args) && !strings.HasPrefix(args[i], "-") {
@@ -232,7 +232,7 @@ func parseInterleaved(fs *flag.FlagSet, args []string) []string {
 			i++
 		}
 		if i == len(args) {
-			return names
+			return names, nil
 		}
 		args = args[i:]
 	}

@@ -3,61 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
-	"fugu/internal/harness"
-	"fugu/internal/sim"
 	"fugu/internal/spans"
+	"fugu/internal/telemetry"
 )
-
-// explainCmd implements `fugusim explain`: replay one sweep point with the
-// message-lifecycle span recorder and the engine cost profiler installed,
-// then render the latency anatomy — where a message's cycles go (the
-// per-stage dwell waterfall with percentiles), which (policy, stage,
-// cause) buckets dominate, which destination nodes and source→destination
-// links run hot, the slowest messages with their full stage timelines, and
-// which schedule sites the engine itself spends its time on. The dwell
-// conservation invariant (per-stage dwells sum exactly to end-to-end
-// latency) is checked along with the delivery invariants; a violation exits
-// with status 1, so CI can replay a point and assert the anatomy holds.
-func explainCmd(args []string) {
-	r := newReplay("explain")
-	topK := r.fs.Int("topk", 8, fmt.Sprintf("slowest messages to list with timelines (max %d)", spans.TopK))
-	links := r.fs.Int("links", 8, "hottest src->dst links to list")
-	out := r.fs.String("o", "-", "also write the report to this path (- means stdout only)")
-	folded := r.fs.String("folded", "", "write the engine cost profile as folded stacks (flamegraph input) to this path")
-	allocs := r.fs.Bool("allocs", false, "also attribute heap allocations per schedule site (slower)")
-	name := r.parse(args)
-
-	rec := spans.NewRecorder(nil)
-	prof := sim.NewProfiler(sim.ProfilerConfig{Wall: true, Allocs: *allocs})
-	p := r.run(name, []string{*out, *folded}, harness.WithSpans(rec), harness.WithProfiler(prof))
-
-	problems := checkSpans(rec, p)
-	var b strings.Builder
-	fmt.Fprintf(&b, "explain: %s\n", p)
-	fmt.Fprintf(&b, "%s\n\n", rec.Summary())
-	writeWaterfall(&b, rec)
-	writeAnatomy(&b, rec)
-	writeHeat(&b, rec, *links)
-	writeSlowest(&b, rec, *topK)
-	fmt.Fprintf(&b, "engine cost profile (by schedule site)\n")
-	prof.Snapshot().WriteTable(&b)
-	for _, p := range problems {
-		fmt.Fprintf(&b, "\nPROBLEM: %s\n", p)
-	}
-	writeOutput(*out, b.String(), true)
-	if *folded != "" {
-		var fb strings.Builder
-		prof.Snapshot().WriteFolded(&fb)
-		writeOutput(*folded, fb.String(), false)
-	}
-	if len(problems) > 0 {
-		fmt.Fprintf(os.Stderr, "explain: %d invariant violation(s)\n", len(problems))
-		os.Exit(1)
-	}
-}
 
 // writeWaterfall renders the per-stage dwell waterfall: for each pipeline
 // stage, the share of all terminal-span cycles dwelt there plus dwell
@@ -165,4 +115,41 @@ func writeSlowest(w io.Writer, rec *spans.Recorder, k int) {
 		}
 	}
 	fmt.Fprintln(w)
+}
+
+// watchHeaderEvery is how many dashboard rows print between header reprints,
+// so a long scroll never strands the reader without column names.
+const watchHeaderEvery = 20
+
+// watchHeader is the dashboard's column header.
+func watchHeader() string {
+	return fmt.Sprintf("%-3s %-12s %7s %7s %6s %7s %6s %6s %9s %7s %8s %13s  %s\n",
+		"ep", "cycle", "Δfast", "Δbuf", "fast%", "Δins", "Δovfl", "Δnack",
+		"pages", "queue", "inflight", "Δdwell q/b", "modes")
+}
+
+// watchRow formats one flight-recorder interval as a dashboard line:
+// per-interval fast/buffered deliveries, buffer inserts, overflow trips,
+// NACKs, pinned buffer pages, NI queue depths, handler spans in flight and
+// the per-node delivery-mode glyph string. The rows are the recorder's
+// OnSample stream, so what scrolls past is exactly what -timeline exports.
+func watchRow(iv telemetry.Interval) string {
+	fast := iv.Counters["glaze.deliver.fast"]
+	buf := iv.Counters["glaze.deliver.buffered"]
+	fastPct := "-"
+	if fast+buf > 0 {
+		fastPct = fmt.Sprintf("%5.1f", float64(fast)/float64(fast+buf)*100)
+	}
+	pages := iv.Gauges["glaze.buffer.pages"]
+	// Per-interval dwell-cycle deltas for the two stages worth watching live:
+	// queued (NI residency) and buffered (second-case store residency).
+	dwell := fmt.Sprintf("%d/%d", iv.Dwell["queued"], iv.Dwell["buffered"])
+	return fmt.Sprintf("%-3d %-12d %7d %7d %6s %7d %6d %6d %4d/%-4d %3d/%-3d %8d %13s  %s\n",
+		iv.Epoch, iv.Cycle, fast, buf, fastPct,
+		iv.Counters["glaze.buffer.inserts"],
+		iv.Counters["glaze.overflow.trips"],
+		iv.Counters["nic.nacked"],
+		pages.Cur, pages.Max,
+		iv.QueueSum, iv.QueueMax,
+		iv.SpansInFlight, dwell, iv.Modes)
 }

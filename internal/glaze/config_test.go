@@ -1,6 +1,9 @@
 package glaze
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestNewConfigOptions(t *testing.T) {
 	cfg := NewConfig(
@@ -28,7 +31,7 @@ func TestNewConfigOptions(t *testing.T) {
 }
 
 func TestNewConfigDefaultsUntouched(t *testing.T) {
-	if NewConfig() != DefaultConfig() {
+	if !reflect.DeepEqual(NewConfig(), DefaultConfig()) {
 		t.Error("NewConfig() with no options should equal DefaultConfig()")
 	}
 }

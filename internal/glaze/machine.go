@@ -39,13 +39,29 @@ type Config struct {
 	// virtual buffering's physical-memory advantage is measured.
 	NoBufferReclaim bool
 
+	// Faults, when non-nil, arms a deterministic fault injector executing
+	// the plan. The injector draws from its own PCG stream seeded by
+	// Faults.Seed, so the engine RNG sequence — and therefore every
+	// fault-free golden — is untouched even with a plan installed.
+	Faults *faultinject.Plan
+
+	// Observers are the machine's instruments; the zero value attaches
+	// none.
+	Observers
+}
+
+// Observers bundles the instruments a machine can carry. None of them
+// charges simulated cycles or draws from the engine RNG, so results are
+// bit-identical with or without any of them. The pointer-valued ones are
+// unsynchronized: share one across machines only in serial sweeps.
+type Observers struct {
 	// Trace, when non-nil, is installed as the machine's event log. Enable
 	// the categories of interest before running.
 	Trace *trace.Log
 
 	// Spans, when non-nil, records every message's lifecycle (injection,
 	// arrival, buffer insertion, terminal disposal) for invariant checks
-	// and liveness diagnostics. Recording charges no simulated cycles.
+	// and liveness diagnostics.
 	Spans *spans.Recorder
 
 	// Watchdog, when enabled (Interval > 0), periodically checks for
@@ -53,24 +69,15 @@ type Config struct {
 	// wedges. See WatchdogConfig.
 	Watchdog WatchdogConfig
 
-	// Faults, when non-nil, arms a deterministic fault injector executing
-	// the plan. The injector draws from its own PCG stream seeded by
-	// Faults.Seed, so the engine RNG sequence — and therefore every
-	// fault-free golden — is untouched even with a plan installed.
-	Faults *faultinject.Plan
-
-	// Telemetry, when non-nil, attaches the flight recorder: a sampler
-	// event diffs the registry every recorder interval (simulated time).
-	// Sampling charges no cycles and draws no RNG, so results are
-	// bit-identical with or without it. A recorder is unsynchronized —
-	// give each machine its own (the harness does).
-	Telemetry *telemetry.Recorder
+	// Telemetry, when enabled (Every > 0), attaches a flight recorder built
+	// for this machine: a sampler event diffs the registry every interval
+	// of simulated time. Each machine gets its own recorder (Machine.
+	// Telemetry), so parallel sweeps stay deterministic and race-free.
+	Telemetry telemetry.Config
 
 	// Profiler, when non-nil, attaches the engine cost profiler: every
 	// dispatched event is attributed to its schedule site (mesh hop, NI
-	// drain, gang tick, ...). Observation only — simulated results are
-	// identical with or without it. A profiler is unsynchronized; pair it
-	// with serial sweeps, like Trace and Spans.
+	// drain, gang tick, ...).
 	Profiler *sim.Profiler
 }
 
@@ -212,8 +219,8 @@ func NewMachine(cfg Config, opts ...ConfigOption) *Machine {
 	if cfg.Watchdog.Enabled() {
 		m.watchdog = newWatchdog(m, cfg.Watchdog)
 	}
-	if cfg.Telemetry != nil {
-		m.telemetry = cfg.Telemetry
+	if cfg.Telemetry.Enabled() {
+		m.telemetry = telemetry.NewRecorder(cfg.Telemetry)
 		m.telemetry.AttachMachine()
 		newSampler(m, m.telemetry)
 	}

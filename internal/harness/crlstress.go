@@ -17,8 +17,8 @@ import (
 // crlStressOpsSweep is the sweep of per-node operation counts. It replicates
 // the range the coherence stress property explores (ops = input%40 + 10) and
 // includes the counts around the historical lost-request deadlock (ops >= 41
-// at machine seed 0x9459729f43aff4c8), so `fugusim doctor -x crlstress` can
-// replay exactly the schedules that wedge.
+// at machine seed 0x9459729f43aff4c8), so `fugusim inspect crlstress -point N
+// -with spans,watchdog` can replay exactly the schedules that wedge.
 var crlStressOpsSweep = []int{10, 20, 30, 37, 41, 45}
 
 // CRLStressRow is one sweep point's outcome.
@@ -85,14 +85,14 @@ func RunCRLStressOnce(ops int, seed uint64, opts ...Option) (CRLStressRow, metri
 }
 
 // crlStressExperiment sweeps the CRL stress workload over per-node op
-// counts. It exists for the doctor: the workload mixes fast-path
+// counts. It exists for the watchdog: the workload mixes fast-path
 // request-reply traffic with buffered bulk data and has historically
 // deadlocked at specific seeds, which makes it the natural target for span
 // and liveness diagnosis.
 func crlStressExperiment() *Experiment {
 	return &Experiment{
 		Name:        "crlstress",
-		Description: "CRL coherence stress sweep (random sections, 4 nodes); doctor's deadlock testbed",
+		Description: "CRL coherence stress sweep (random sections, 4 nodes); the watchdog's deadlock testbed",
 		Points: func(Options) []Point {
 			pts := make([]Point, len(crlStressOpsSweep))
 			for i, ops := range crlStressOpsSweep {
@@ -119,16 +119,14 @@ func crlStressExperiment() *Experiment {
 // runCRLStress executes one sweep point. The workload replicates the
 // coherence stress property test operation for operation — same region
 // count, same rng consumption order, same synchronization — so a machine
-// seed that wedges the test wedges this point identically and the doctor
-// can dissect it.
+// seed that wedges the test wedges this point identically and `fugusim
+// inspect` can dissect it.
 func runCRLStress(ops int, opt Options) crlStressPoint {
 	const nodes, regions = 4, 3
 	cfg := glaze.DefaultConfig()
 	cfg.W, cfg.H = nodes, 1
 	cfg.Seed = opt.TrialSeed(0)
-	if mut := opt.machineMut(nil); mut != nil {
-		mut(&cfg)
-	}
+	opt.machineMut(nil)(&cfg)
 	m := glaze.NewMachine(cfg)
 	job := m.NewJob("stress")
 	crls := make([]*crl.Node, nodes)
@@ -189,7 +187,7 @@ func runCRLStress(ops int, opt Options) crlStressPoint {
 		// Settle window: trailing protocol traffic (a flush the final reads
 		// pulled, a queued grant) may still be in flight when the last main
 		// exits; give it time to land so span accounting reaches terminal
-		// states before the doctor's invariant checks.
+		// states before the span invariant checks.
 		m.Eng.RunUntil(m.Eng.Now() + 20_000)
 	}
 	var total uint64

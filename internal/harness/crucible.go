@@ -179,13 +179,11 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 		plan.Seed = plan.Seed*31 + uint64(ch)
 	}
 	pl.arm(&plan)
-	if mut := opt.machineMut(nil); mut != nil {
-		mut(&cfg)
-	}
+	opt.machineMut(nil)(&cfg)
 	if cfg.Faults == nil {
 		cfg.Faults = &plan
 	}
-	// Every run gets spans and a watchdog even outside doctor mode: the
+	// Every run gets spans and a watchdog even outside `fugusim inspect`: the
 	// oracles need the recorder, and a wedged plan must stop with a report
 	// rather than burn the whole cycle budget.
 	ownRec := cfg.Spans == nil
@@ -196,9 +194,9 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 		cfg.Watchdog = glaze.WatchdogConfig{Interval: 100_000, Grace: 10}
 	}
 	// The timeline oracles need the flight recorder even outside -timeline
-	// runs; a harness-provided recorder (Options.Telemetry) wins.
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{Every: crucibleSampleEvery})
+	// runs; a harness-provided config (Options.Telemetry) wins.
+	if !cfg.Telemetry.Enabled() {
+		cfg.Telemetry = telemetry.Config{Every: crucibleSampleEvery}
 	}
 	rec := cfg.Spans
 
@@ -291,7 +289,7 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 //  3. faults lifted: every process drained back to fast mode — nothing
 //     buffered, throttled, or left in an input queue;
 //  4. span reconciliation: all spans terminal, fast/buffered tallies match
-//     the glaze delivery counters (own-recorder runs only: a shared doctor
+//     the glaze delivery counters (own-recorder runs only: a shared inspect
 //     recorder spans several machines and reconciles elsewhere);
 //  5. per-node conservation: arrivals = user disposes + kernel disposes +
 //     hardware demuxes (the last is zero unless the delivery policy demuxes

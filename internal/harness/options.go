@@ -24,19 +24,6 @@ type Options struct {
 	// never changes results: points are keyed by enumeration index, and
 	// every point simulates its own deterministic machine.
 	Parallelism int
-	// Trace, when non-nil, is installed as every point machine's event log.
-	// The log is a single unsynchronized ring, so pair it with
-	// WithParallelism(1) (as `fugusim trace` does) — concurrent points would
-	// interleave their events arbitrarily.
-	Trace *trace.Log
-	// Spans, when non-nil, records message-lifecycle spans on every point
-	// machine. Like Trace it is unsynchronized: pair it with
-	// WithParallelism(1) (as `fugusim doctor` does).
-	Spans *spans.Recorder
-	// Watchdog, when enabled (Interval > 0), installs the liveness watchdog
-	// on every point machine; a stalled run stops with a diagnostic report
-	// instead of spinning forever.
-	Watchdog glaze.WatchdogConfig
 	// Faults, when non-nil, arms the deterministic fault injector on every
 	// point machine. Each machine builds its own injector from the plan, so
 	// parallel points stay independent; a disarmed plan is bit-identical to
@@ -55,16 +42,13 @@ type Options struct {
 	// tests enable it; it changes no simulated behaviour, only walks the
 	// structure and panics on the first violation.
 	QueueAudit bool
-	// Telemetry, when enabled (Every > 0), attaches a fresh flight
-	// recorder to every point machine — each machine gets its own, so
-	// parallel sweeps stay deterministic and race-free, and the per-point
-	// timelines come back on the point results (Runner.OnTimeline).
-	// Disabled (the zero value) adds no machine state and no events.
-	Telemetry telemetry.Config
-	// Profiler, when non-nil, attaches the engine cost profiler to every
-	// point machine. Like Trace and Spans it is unsynchronized: pair it
-	// with WithParallelism(1) (as `fugusim explain` does).
-	Profiler *sim.Profiler
+	// Observers are installed on every point machine. A telemetry config
+	// gives each machine its own recorder, so parallel sweeps stay
+	// deterministic and the per-point timelines come back on the point
+	// results (Runner.OnTimeline). Trace, Spans and Profiler are single
+	// unsynchronized instruments: pair them with WithParallelism(1), as
+	// `fugusim inspect` does, or concurrent points interleave arbitrarily.
+	glaze.Observers
 }
 
 // Option configures an experiment run.
@@ -93,18 +77,13 @@ func WithParallelism(n int) Option { return optionFunc(func(o *Options) { o.Para
 
 // WithTrace installs an event log on every point machine the experiment
 // builds. Enable the log's categories first; run serially (see
-// Options.Trace).
+// Options.Observers).
 func WithTrace(l *trace.Log) Option { return optionFunc(func(o *Options) { o.Trace = l }) }
 
 // WithSpans installs a message-lifecycle recorder on every point machine;
-// run serially (see Options.Spans).
+// run serially (see Options.Observers).
 func WithSpans(rec *spans.Recorder) Option {
 	return optionFunc(func(o *Options) { o.Spans = rec })
-}
-
-// WithWatchdog installs the liveness watchdog on every point machine.
-func WithWatchdog(wc glaze.WatchdogConfig) Option {
-	return optionFunc(func(o *Options) { o.Watchdog = wc })
 }
 
 // WithFaults arms a deterministic fault plan on every point machine (see
@@ -132,13 +111,13 @@ func WithQueueAudit() Option {
 }
 
 // WithTelemetry enables the flight recorder on every point machine (see
-// Options.Telemetry).
+// Options.Observers).
 func WithTelemetry(cfg telemetry.Config) Option {
 	return optionFunc(func(o *Options) { o.Telemetry = cfg })
 }
 
 // WithProfiler attaches the engine cost profiler to every point machine;
-// run serially (see Options.Profiler).
+// run serially (see Options.Observers).
 func WithProfiler(p *sim.Profiler) Option {
 	return optionFunc(func(o *Options) { o.Profiler = p })
 }
@@ -174,26 +153,13 @@ func (o Options) TrialSeed(trial int) uint64 { return o.Seed + uint64(trial) }
 // trials returns the effective trial count, at least one.
 func (o Options) trials() int { return max(1, o.Trials) }
 
-// machineMut composes the option set's machine-level installs (the trace
-// log, span recorder and watchdog) with a point's own config mutator.
-// Experiment points pass the result wherever a func(*glaze.Config) is
-// accepted, so options reach every machine without widening run signatures.
+// machineMut composes the option set's machine-level installs (observers,
+// faults, policy, queue) with a point's own config mutator. Experiment
+// points pass the result wherever a func(*glaze.Config) is accepted, so
+// options reach every machine without widening run signatures.
 func (o Options) machineMut(extra func(*glaze.Config)) func(*glaze.Config) {
-	if o.Trace == nil && o.Spans == nil && !o.Watchdog.Enabled() && o.Faults == nil &&
-		o.Policy == nil && o.Queue.Model == "" && !o.QueueAudit && !o.Telemetry.Enabled() &&
-		o.Profiler == nil && extra == nil {
-		return nil
-	}
 	return func(cfg *glaze.Config) {
-		if o.Trace != nil {
-			cfg.Trace = o.Trace
-		}
-		if o.Spans != nil {
-			cfg.Spans = o.Spans
-		}
-		if o.Watchdog.Enabled() {
-			cfg.Watchdog = o.Watchdog
-		}
+		cfg.Observers = o.Observers
 		if o.Faults != nil {
 			cfg.Faults = o.Faults
 		}
@@ -205,15 +171,6 @@ func (o Options) machineMut(extra func(*glaze.Config)) func(*glaze.Config) {
 		}
 		if o.QueueAudit {
 			cfg.NIConfig.QueueAudit = true
-		}
-		if o.Telemetry.Enabled() {
-			// A fresh recorder per machine: recorders are unsynchronized
-			// and epoch-scoped, so sharing one across parallel points
-			// would race and interleave.
-			cfg.Telemetry = telemetry.NewRecorder(o.Telemetry)
-		}
-		if o.Profiler != nil {
-			cfg.Profiler = o.Profiler
 		}
 		if extra != nil {
 			extra(cfg)

@@ -125,9 +125,7 @@ func measureNullMessage(impl glaze.AtomicityImpl, opt Options) table4Point {
 		cfg := glaze.DefaultConfig()
 		cfg.W, cfg.H = 2, 1
 		cfg.Cost = glaze.Costs(impl)
-		if mut := opt.machineMut(nil); mut != nil {
-			mut(&cfg)
-		}
+		opt.machineMut(nil)(&cfg)
 		m := glaze.NewMachine(cfg)
 		job := m.NewJob("pingpong")
 		ep0 := udm.Attach(job.Process(0))
@@ -182,9 +180,7 @@ func measureInterrupt(impl glaze.AtomicityImpl, opt Options) (uint64, metrics.Sn
 	cfg := glaze.DefaultConfig()
 	cfg.W, cfg.H = 2, 1
 	cfg.Cost = glaze.Costs(impl)
-	if mut := opt.machineMut(nil); mut != nil {
-		mut(&cfg)
-	}
+	opt.machineMut(nil)(&cfg)
 	m := glaze.NewMachine(cfg)
 	job := m.NewJob("pingpong")
 	ep0 := udm.Attach(job.Process(0))

@@ -158,7 +158,7 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 	mk := func() apps.Instance { return apps.NewSynth(60, 12, 60) }
 	plain := RunMultiprogrammedQ(mk, 0.03, 7, 50_000, nil)
 	sampled := RunMultiprogrammedQ(mk, 0.03, 7, 50_000, func(cfg *glaze.Config) {
-		cfg.Telemetry = telemetry.NewRecorder(telemetry.Config{Every: 5_000})
+		cfg.Telemetry = telemetry.Config{Every: 5_000}
 	})
 	if plain.Runtime != sampled.Runtime {
 		t.Errorf("sampling changed the runtime: %d vs %d cycles", plain.Runtime, sampled.Runtime)

@@ -160,7 +160,8 @@ func TestNilProfilerAllocFree(t *testing.T) {
 }
 
 // BenchmarkScheduleProfiled is BenchmarkSchedule with a cycles-only profiler
-// attached — the overhead a `fugusim explain` replay pays per event.
+// attached — the per-event overhead of the profiler a `fugusim inspect -with
+// profile` replay attaches.
 func BenchmarkScheduleProfiled(b *testing.B) {
 	e := NewEngine(1)
 	e.UseProfiler(NewProfiler(ProfilerConfig{}))

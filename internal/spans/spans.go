@@ -523,7 +523,7 @@ func (r *Recorder) Summary() string {
 }
 
 // SetReport attaches a watchdog diagnostic report to the recorder, where
-// the harness and doctor retrieve it after the run.
+// the harness and `fugusim inspect` retrieve it after the run.
 func (r *Recorder) SetReport(rep *Report) {
 	if r == nil {
 		return

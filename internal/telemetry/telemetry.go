@@ -40,8 +40,9 @@ type Config struct {
 	// Cap is the ring capacity in intervals; <= 0 means DefaultCap.
 	Cap int
 	// OnSample, when non-nil, streams every recorded interval as it is
-	// appended — the live dashboard hook (`fugusim watch`). It runs inside
-	// the simulation event, so it must not touch the machine.
+	// appended — the live dashboard hook (`fugusim inspect -with
+	// timeline`). It runs inside the simulation event, so it must not touch
+	// the machine.
 	OnSample func(Interval)
 }
 

@@ -2,7 +2,8 @@
 // timestamped events with per-category enables. The kernel records
 // delivery-mode transitions, revocations, context switches and overflow
 // events through it, so a surprising run can be replayed and inspected
-// (`fugusim trace` exports it as a Chrome trace_event timeline or JSONL).
+// (`fugusim inspect -with trace` exports it as a Chrome trace_event timeline
+// or JSONL).
 package trace
 
 import (

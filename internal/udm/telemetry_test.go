@@ -24,10 +24,9 @@ func TestDiagnoseTimelineAllPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := telemetry.NewRecorder(telemetry.Config{Every: 2_000})
 			m, job, eps := testMachine(t, func(cfg *glaze.Config) {
 				cfg.Delivery = pol
-				cfg.Telemetry = rec
+				cfg.Telemetry = telemetry.Config{Every: 2_000}
 			})
 			const N = 40
 			got := 0
