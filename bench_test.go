@@ -117,7 +117,7 @@ func BenchmarkFig8Slowdown(b *testing.B) {
 
 // BenchmarkFig9SynthInterval: % buffered vs send interval (Figure 9).
 func BenchmarkFig9SynthInterval(b *testing.B) {
-	var r harness.Fig9Result
+	var r harness.SynthSweepResult
 	for i := 0; i < b.N; i++ {
 		var err error
 		if r, err = harness.Fig9(harness.WithQuick(), harness.WithTrials(1)); err != nil {
@@ -129,7 +129,7 @@ func BenchmarkFig9SynthInterval(b *testing.B) {
 	}
 	// Shape: below-service-rate sending buffers much more than leisurely
 	// sending, and synth-10's frequent synchronization caps its buffering.
-	last := len(r.TBetws) - 1
+	last := len(r.X) - 1
 	if r.Pct[2][0] <= r.Pct[2][last] {
 		b.Error("synth-1000 buffering did not fall as T_betw grew")
 	}
@@ -140,14 +140,14 @@ func BenchmarkFig9SynthInterval(b *testing.B) {
 
 // BenchmarkFig10BufferCost: % buffered vs buffered-path cost (Figure 10).
 func BenchmarkFig10BufferCost(b *testing.B) {
-	var r harness.Fig10Result
+	var r harness.SynthSweepResult
 	for i := 0; i < b.N; i++ {
 		var err error
 		if r, err = harness.Fig10(harness.WithQuick(), harness.WithTrials(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	last := len(r.Extra) - 1
+	last := len(r.X) - 1
 	for i, n := range r.Ns {
 		b.ReportMetric(r.Pct[i][last], benchName("synth", n)+"-max-cost-bufpct")
 	}

@@ -76,7 +76,7 @@ func inspectCmd(args []string, stdout, stderr io.Writer) (string, int) {
 	with := fs.String("with", "spans", "comma-separated observers: "+strings.Join(observerNames, ","))
 	out := fs.String("o", "-", "also write the text report to this path (- means stdout only)")
 	traceOut := fs.String("trace-out", "", "trace: export path; a .jsonl path gets JSON Lines, any other Chrome trace_event JSON")
-	cats := fs.String("cats", "", "trace: comma-separated categories to record (default all): mode,sched,overflow,message,span")
+	cats := fs.String("cats", "", "trace: comma-separated categories to record (default all): mode,sched,overflow,span")
 	capN := fs.Int("cap", 1<<16, "trace: event ring capacity; oldest events beyond it are dropped")
 	// The stall threshold (interval*grace) must exceed the longest healthy
 	// quiet phase; the gang quantum is 500k cycles, and a descheduled job

@@ -240,6 +240,7 @@ func TestInspectUsageErrors(t *testing.T) {
 		{"-trace-out", filepath.Join(t.TempDir(), "t.json")},
 		{"-folded", filepath.Join(t.TempDir(), "f.txt")},
 		{"-cats", "nonesuch", "-with", "trace", "-trace-out", filepath.Join(t.TempDir(), "t.json")},
+		{"-cats", "message", "-with", "trace", "-trace-out", filepath.Join(t.TempDir(), "t.json")},
 	} {
 		var stderr strings.Builder
 		report, code := inspectCmd(append([]string{"table4", "-point", "2"}, args...), io.Discard, &stderr)
@@ -300,7 +301,7 @@ func TestInspectTraceExport(t *testing.T) {
 // may panic, and every accepted list must read back the same from its names.
 func FuzzInspectArgs(f *testing.F) {
 	f.Add("spans", "")
-	f.Add("spans,profile,watchdog,timeline,trace", "mode,sched,overflow,message,span")
+	f.Add("spans,profile,watchdog,timeline,trace", "mode,sched,overflow,span")
 	f.Add(" trace , spans,trace", "mode, overflow")
 	f.Add("", ",")
 	f.Fuzz(func(t *testing.T, with, cats string) {

@@ -37,7 +37,6 @@ const (
 	hEnumWork
 	hEnumToken
 	hEnumDone
-	hGather
 )
 
 // Rig bundles the per-node endpoints an application attaches to.
@@ -75,15 +74,6 @@ func (r *Rig) HandlerMean() float64 {
 
 // Nodes returns the machine size.
 func (r *Rig) Nodes() int { return len(r.EPs) }
-
-// TotalSent sums messages injected by the job across nodes.
-func (r *Rig) TotalSent() uint64 {
-	var n uint64
-	for _, ep := range r.EPs {
-		n += ep.Sent
-	}
-	return n
-}
 
 // Barrier is a dissemination barrier over UDM messages: log2(n) rounds of
 // one message per node per round — the structure that makes the paper's
@@ -143,56 +133,6 @@ func (b *Barrier) Wait(t *cpu.Task) {
 	}
 	e.EndAtomic()
 	b.epoch++
-}
-
-// Gatherer collects one completion message per node at node 0 — the usual
-// way an Instance knows its distributed mains produced results.
-type Gatherer struct {
-	done *udm.Counter
-}
-
-// NewGatherer registers the gather handler on node 0's endpoint.
-func NewGatherer(ep0 *udm.EP, onMsg func(args []uint64)) *Gatherer {
-	g := &Gatherer{done: udm.NewCounter()}
-	ep0.On(hGather, func(e *udm.Env, m *udm.Msg) {
-		if onMsg != nil {
-			onMsg(m.Args)
-		}
-		g.done.Add(1)
-	})
-	return g
-}
-
-// Report sends a completion message to node 0.
-func (g *Gatherer) Report(e *udm.Env, args ...uint64) {
-	e.Inject(0, hGather, args...)
-}
-
-// WaitAll blocks node 0 until n reports have arrived.
-func (g *Gatherer) WaitAll(t *cpu.Task, n int) {
-	g.done.WaitFor(t, uint64(n))
-}
-
-// Characterize computes the Table 6 columns for a completed standalone run:
-// total cycles (wall), total messages, average cycles between communication
-// events (runtime*nodes/messages, the paper's T_betw) and mean handler
-// occupancy (T_hand).
-func Characterize(r *Rig, runtime uint64) (cycles, msgs uint64, tBetw, tHand float64) {
-	msgs = r.TotalSent()
-	cycles = runtime
-	if msgs > 0 {
-		tBetw = float64(runtime) * float64(r.Nodes()) / float64(msgs)
-	}
-	var sum float64
-	var n uint64
-	for _, ep := range r.EPs {
-		sum += ep.HandlerCycles.Sum
-		n += ep.HandlerCycles.Count
-	}
-	if n > 0 {
-		tHand = sum / float64(n)
-	}
-	return
 }
 
 // checkf builds a formatted check failure.

@@ -158,18 +158,6 @@ func TestBarnesUnderSkew(t *testing.T) {
 	runMultiprogrammed(t, app, 0.04)
 }
 
-func TestCharacterize(t *testing.T) {
-	app := NewBarrierApp(100)
-	m, job := runStandalone(t, app)
-	cycles, msgs, tBetw, tHand := Characterize(&Rig{M: m, Job: job, EPs: nil}, job.DoneAt())
-	_ = cycles
-	if msgs != 0 {
-		t.Errorf("empty rig counted %d messages", msgs)
-	}
-	_ = tBetw
-	_ = tHand
-}
-
 func TestOctreeMatchesDirectSum(t *testing.T) {
 	// With theta=0 the Barnes-Hut force must equal the direct O(N^2) sum.
 	pos := make([][3]float64, 32)

@@ -81,9 +81,6 @@ func New(eng *sim.Engine, name string) *CPU {
 	return &CPU{eng: eng, name: name}
 }
 
-// Engine returns the simulation engine.
-func (c *CPU) Engine() *sim.Engine { return c.eng }
-
 // Name returns the CPU's diagnostic name.
 func (c *CPU) Name() string { return c.name }
 

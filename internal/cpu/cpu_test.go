@@ -189,27 +189,6 @@ func TestIRQCounting(t *testing.T) {
 	}
 }
 
-func TestIRQMasking(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := New(e, "cpu0")
-	var times []uint64
-	irq := c.NewIRQ("v", func(tk *Task) {
-		times = append(times, tk.Now())
-	})
-	e.Schedule(10, func() { irq.Mask() })
-	e.Schedule(20, func() { irq.Raise() })
-	e.Schedule(30, func() {
-		if irq.Pending() != 1 {
-			t.Errorf("pending = %d while masked, want 1", irq.Pending())
-		}
-		irq.Unmask()
-	})
-	e.Run()
-	if len(times) != 1 || times[0] != 30 {
-		t.Errorf("handler times = %v, want [30]", times)
-	}
-}
-
 func TestRaiseFromTaskContext(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := New(e, "cpu0")
@@ -308,40 +287,6 @@ func TestWaitQFIFOAndWakeAll(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("wake order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestSetPriorityOnReadyTask(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := New(e, "cpu0")
-	var order []string
-	a := c.NewTask("a", PrioUser, DomainUser, func(tk *Task) {
-		tk.Spend(10)
-		order = append(order, "a")
-	})
-	c.NewTask("b", PrioUser, DomainUser, func(tk *Task) {
-		tk.Spend(10)
-		order = append(order, "b")
-	})
-	c.NewTask("c", PrioUser, DomainUser, func(tk *Task) {
-		tk.Spend(10)
-		order = append(order, "c")
-	})
-	_ = a
-	e.Schedule(1, func() {
-		// a is running; b, c are ready. Promote c above b.
-		for _, q := range c.ready[PrioUser] {
-			if q.Name() == "c" {
-				q.SetPriority(PrioHandler)
-			}
-		}
-	})
-	e.Run()
-	want := []string{"c", "a", "b"} // c preempts a at t=1; a resumes; then b
-	for i, w := range want {
-		if i >= len(order) || order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
 }

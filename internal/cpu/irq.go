@@ -11,7 +11,6 @@ type IRQ struct {
 	task    *Task
 	handler func(*Task)
 	pending int
-	masked  bool
 	raised  uint64 // lifetime count, for stats and tests
 }
 
@@ -22,7 +21,7 @@ func (c *CPU) NewIRQ(name string, handler func(*Task)) *IRQ {
 	irq := &IRQ{cpu: c, name: name, handler: handler}
 	irq.task = c.NewTask("isr:"+name, PrioISR, DomainKernel, func(t *Task) {
 		for {
-			for irq.pending > 0 && !irq.masked {
+			for irq.pending > 0 {
 				irq.pending--
 				irq.handler(t)
 			}
@@ -38,26 +37,10 @@ func (c *CPU) NewIRQ(name string, handler func(*Task)) *IRQ {
 func (irq *IRQ) Raise() {
 	irq.raised++
 	irq.pending++
-	if !irq.masked && irq.task.Blocked() {
+	if irq.task.Blocked() {
 		irq.task.Unblock()
 	}
 }
-
-// Mask defers handler invocations until Unmask. An invocation already in
-// progress completes.
-func (irq *IRQ) Mask() { irq.masked = true }
-
-// Unmask re-enables the vector and dispatches any raises that arrived while
-// masked.
-func (irq *IRQ) Unmask() {
-	irq.masked = false
-	if irq.pending > 0 && irq.task.Blocked() {
-		irq.task.Unblock()
-	}
-}
-
-// Masked reports whether the vector is masked.
-func (irq *IRQ) Masked() bool { return irq.masked }
 
 // Pending reports queued, not-yet-handled raises.
 func (irq *IRQ) Pending() int { return irq.pending }

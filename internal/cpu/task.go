@@ -50,9 +50,6 @@ type Task struct {
 	// Scheduler gate (Suspend/Resume).
 	suspended  bool
 	wakeBanked bool
-
-	// Tag is free for higher layers (glaze attaches the owning process).
-	Tag any
 }
 
 // NewTask creates a ready task that will run fn when first granted the CPU.
@@ -104,31 +101,6 @@ func (t *Task) waitGrant() {
 // Name returns the task's diagnostic name.
 func (t *Task) Name() string { return t.name }
 
-// Priority returns the task's scheduling priority.
-func (t *Task) Priority() Priority { return t.prio }
-
-// SetPriority changes the task's priority. Raising the priority of a ready
-// task can preempt the running task at its next boundary.
-func (t *Task) SetPriority(p Priority) {
-	if t.prio == p {
-		return
-	}
-	if t.state == taskReady {
-		q := t.cpu.ready[t.prio]
-		for i, x := range q {
-			if x == t {
-				t.cpu.ready[t.prio] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
-		t.prio = p
-		t.cpu.enqueue(t, false)
-		t.cpu.kick()
-		return
-	}
-	t.prio = p
-}
-
 // Domain returns the task's accounting domain.
 func (t *Task) Domain() Domain { return t.domain }
 
@@ -140,12 +112,6 @@ func (t *Task) Done() bool { return t.state == taskDone }
 
 // Blocked reports whether the task is blocked.
 func (t *Task) Blocked() bool { return t.state == taskBlocked }
-
-// Ready reports whether the task is queued runnable.
-func (t *Task) Ready() bool { return t.state == taskReady }
-
-// CPU returns the task's processor.
-func (t *Task) CPU() *CPU { return t.cpu }
 
 // Now returns the current simulation time.
 func (t *Task) Now() uint64 { return t.cpu.eng.Now() }
@@ -320,9 +286,6 @@ func (t *Task) StateName() string {
 	}
 	return s
 }
-
-// Suspended reports whether the scheduler gate is closed for this task.
-func (t *Task) Suspended() bool { return t.suspended }
 
 // WaitQ is a FIFO queue of blocked tasks, the task-level condition variable.
 type WaitQ struct {

@@ -56,12 +56,6 @@ type Region struct {
 	gen  uint64       // bumped whenever st changes (wake predicate)
 }
 
-// ID returns the region's identifier.
-func (r *Region) ID() RegionID { return r.id }
-
-// Home returns the region's home node.
-func (r *Region) Home() int { return r.home }
-
 // Len returns the region size in words.
 func (r *Region) Len() int { return len(r.data) }
 

@@ -165,27 +165,6 @@ func (p *Plan) Armed() bool {
 	return false
 }
 
-// Horizon returns the latest Until across armed specs and whether every
-// armed spec is bounded. After a bounded horizon, continued traffic drains
-// every process back to fast mode — the "faults lift" oracle.
-func (p *Plan) Horizon() (until uint64, bounded bool) {
-	bounded = true
-	for k := Kind(0); k < NumKinds; k++ {
-		s := &p.Specs[k]
-		if !s.armed(k) {
-			continue
-		}
-		if s.Until == 0 {
-			bounded = false
-			continue
-		}
-		if s.Until > until {
-			until = s.Until
-		}
-	}
-	return until, bounded
-}
-
 // String renders the armed specs compactly.
 func (p *Plan) String() string {
 	out := fmt.Sprintf("plan(seed=%#x", p.Seed)

@@ -191,24 +191,6 @@ func TestWindowKindsRequireBound(t *testing.T) {
 	}
 }
 
-// TestHorizon checks the faults-lift horizon computation.
-func TestHorizon(t *testing.T) {
-	var plan Plan
-	if _, bounded := plan.Horizon(); !bounded {
-		t.Error("empty plan should be bounded")
-	}
-	plan.Arm(GIDMismatch, FaultSpec{Prob: 0.1, Until: 500, Node: AllNodes})
-	plan.Arm(TinyWindow, FaultSpec{From: 100, Until: 900, Cycles: 4, Node: AllNodes})
-	until, bounded := plan.Horizon()
-	if !bounded || until != 900 {
-		t.Errorf("horizon = (%d,%v), want (900,true)", until, bounded)
-	}
-	plan.Arm(DMAStall, FaultSpec{Prob: 0.1, Cycles: 10, Node: AllNodes}) // unbounded
-	if _, bounded := plan.Horizon(); bounded {
-		t.Error("plan with an unbounded armed spec reported bounded")
-	}
-}
-
 // TestInjectorDeterminism: two injectors on the same plan fire identically.
 func TestInjectorDeterminism(t *testing.T) {
 	var plan Plan

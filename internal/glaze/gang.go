@@ -48,9 +48,6 @@ func (m *Machine) NewGang(quantum uint64, skew float64, slots ...*Job) *Gang {
 	return g
 }
 
-// Quantum returns the timeslice length in cycles.
-func (g *Gang) Quantum() uint64 { return g.quantum }
-
 // offset returns node i's clock skew in cycles.
 func (g *Gang) offset(node int) uint64 {
 	n := g.m.Net.Nodes()

@@ -172,12 +172,6 @@ func (k *Kernel) bindMetrics(r *metrics.Registry) {
 	k.mResidency = r.Histogram("glaze.buffer.residency")
 }
 
-// Node returns the node this kernel manages.
-func (k *Kernel) Node() int { return k.node }
-
-// Current returns the resident process, nil during a null slot.
-func (k *Kernel) Current() *Process { return k.current }
-
 // Cost returns the kernel's cost model.
 func (k *Kernel) Cost() CostModel { return k.cost }
 
@@ -187,9 +181,6 @@ func (k *Kernel) Machine() *Machine { return k.m }
 // MismatchConsumed reports total cycles spent in the buffer-insertion
 // (mismatch-available) handler — Table 5's insert-cost numerator.
 func (k *Kernel) MismatchConsumed() uint64 { return k.mismatchIRQ.Task().Consumed() }
-
-// CPU returns the node's processor.
-func (k *Kernel) CPU() *cpu.CPU { return k.cpu }
 
 // ---------------------------------------------------------------------------
 // Interrupt service routines

@@ -221,7 +221,6 @@ func NewMachine(cfg Config, opts ...ConfigOption) *Machine {
 	}
 	if cfg.Telemetry.Enabled() {
 		m.telemetry = telemetry.NewRecorder(cfg.Telemetry)
-		m.telemetry.AttachMachine()
 		newSampler(m, m.telemetry)
 	}
 	return m
@@ -283,9 +282,6 @@ func (m *Machine) NewJob(name string) *Job {
 	m.jobs = append(m.jobs, j)
 	return j
 }
-
-// Jobs returns every job created on the machine.
-func (m *Machine) Jobs() []*Job { return m.jobs }
 
 // RunUntilDone starts the engine and stops it once every listed job
 // completes (or the optional cycle limit is hit; 0 means none). It returns

@@ -126,12 +126,6 @@ func newProcess(k *Kernel, job *Job, gid nic.GID) *Process {
 	return p
 }
 
-// Job returns the job this process belongs to.
-func (p *Process) Job() *Job { return p.job }
-
-// GID returns the process's group identifier.
-func (p *Process) GID() nic.GID { return p.gid }
-
 // Node returns the node this process runs on.
 func (p *Process) Node() int { return p.node }
 
@@ -197,9 +191,6 @@ func (p *Process) HeadID() (id uint64, ok bool) {
 
 // Buffered reports whether the process is in software-buffered mode.
 func (p *Process) Buffered() bool { return p.buffered }
-
-// Scheduled reports whether the process currently owns the node.
-func (p *Process) Scheduled() bool { return p.scheduled }
 
 // BufferPagesHighWater reports the most physical pages the process's
 // second-case store ever consumed on this node.
@@ -337,10 +328,6 @@ func (p *Process) WaitThrottle(t *cpu.Task) {
 		p.throttleW.Wait(t)
 	}
 }
-
-// Tasks returns the process's tasks (main, upcall, spawned threads) for
-// diagnostics.
-func (p *Process) Tasks() []*cpu.Task { return p.tasks() }
 
 // tasks iterates the process's tasks.
 func (p *Process) tasks() []*cpu.Task {

@@ -88,14 +88,11 @@ func (m *Machine) telemetrySample() telemetry.Sample {
 	return s
 }
 
-// Telemetry returns the machine's flight recorder, nil when disabled.
-func (m *Machine) Telemetry() *telemetry.Recorder { return m.telemetry }
-
-// FinishTelemetry closes the recorder's epoch with a final sample at the
-// current time and returns the timeline. Harness collection calls it once
-// per machine after the run; with telemetry disabled it returns an empty
-// timeline at zero cost. Calling it again without a new machine is a no-op
-// returning the same timeline.
+// FinishTelemetry closes the machine's recording with a final sample at
+// the current time and returns the timeline. Harness collection calls it
+// once per machine after the run; with telemetry disabled it returns an
+// empty timeline at zero cost. Calling it again is a no-op returning the
+// same timeline.
 func (m *Machine) FinishTelemetry() telemetry.Timeline {
 	if m.telemetry == nil {
 		return telemetry.Timeline{}

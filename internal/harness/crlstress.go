@@ -67,11 +67,6 @@ func (p crlStressPoint) MetricsSnapshot() metrics.Snapshot { return p.snap }
 // TimelineData implements TimelineCarrier for the Runner's timeline hook.
 func (p crlStressPoint) TimelineData() telemetry.Timeline { return p.tl }
 
-// CRLStress runs the coherence stress sweep.
-func CRLStress(opts ...Option) (CRLStressResult, error) {
-	return runAs[CRLStressResult]("crlstress", opts...)
-}
-
 // RunCRLStressOnce executes a single stress point outside the sweep — the
 // bench subcommand's protocol-heavy workload. It returns the row plus the
 // machine's merged metrics snapshot (for event counts) and its

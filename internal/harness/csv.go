@@ -95,42 +95,19 @@ func (r Fig78Result) CSVFiles() map[string]string {
 	return map[string]string{"fig7.csv": r.CSV7(), "fig8.csv": r.CSV8()}
 }
 
-// CSV renders the Figure 9 sweep.
-func (r Fig9Result) CSV() string {
-	var rows [][]string
-	for i, n := range r.Ns {
-		for j, tb := range r.TBetws {
-			rows = append(rows, []string{
-				fmt.Sprintf("synth-%d", n), u(tb),
-				fmt.Sprintf("%.4f", r.Pct[i][j]),
-			})
-		}
-	}
-	return plot.CSV([]string{"app", "t_betw", "buffered_pct"}, rows)
-}
-
 // CSVFiles implements CSVer.
-func (r Fig9Result) CSVFiles() map[string]string {
-	return map[string]string{"fig9.csv": r.CSV()}
-}
-
-// CSV renders the Figure 10 sweep.
-func (r Fig10Result) CSV() string {
+func (r SynthSweepResult) CSVFiles() map[string]string {
 	var rows [][]string
 	for i, n := range r.Ns {
-		for j, x := range r.Extra {
+		for j, x := range r.X {
 			rows = append(rows, []string{
 				fmt.Sprintf("synth-%d", n), u(x),
 				fmt.Sprintf("%.4f", r.Pct[i][j]),
 			})
 		}
 	}
-	return plot.CSV([]string{"app", "extra_insert_cost", "buffered_pct"}, rows)
-}
-
-// CSVFiles implements CSVer.
-func (r Fig10Result) CSVFiles() map[string]string {
-	return map[string]string{"fig10.csv": r.CSV()}
+	csv := plot.CSV([]string{"app", r.sweep.csvColumn, "buffered_pct"}, rows)
+	return map[string]string{r.sweep.name + ".csv": csv}
 }
 
 // WriteCSV saves content under dir/name, creating dir as needed.

@@ -73,8 +73,8 @@ func init() {
 	register(table5Experiment())
 	register(table6Experiment())
 	register(fig7and8Experiment())
-	register(fig9Experiment())
-	register(fig10Experiment())
+	register(fig9Sweep.experiment())
+	register(fig10Sweep.experiment())
 	register(crlStressExperiment())
 	register(labExperiment(cruciblePreset))
 	register(labExperiment(policylabPreset))

@@ -130,27 +130,29 @@ func (r Fig78Result) Print8(w io.Writer) {
 	fmt.Fprintln(w, "paper: barrier most sensitive (~1/(1-skew)), enum least; others intermediate")
 }
 
-// Fig9Result sweeps the send interval for synth-N (Figure 9).
-type Fig9Result struct {
-	TBetws []uint64
-	Ns     []int
-	// Pct[nIndex][tbetwIndex] = % buffered on the consumer side.
+// SynthSweepResult is a synth-N sweep of one quantity (Figures 9 and 10).
+type SynthSweepResult struct {
+	// X is the swept quantity: the send interval T_betw (Figure 9) or the
+	// cycles added to the buffered-path cost (Figure 10).
+	X  []uint64
+	Ns []int
+	// Pct[nIndex][xIndex] = % buffered on the consumer side.
 	Pct  [][]float64
 	Errs []error
+
+	sweep *synthSweep
 }
 
 // Fig9 reproduces: % messages buffered vs send interval, synth-N at 1%
 // scheduler skew, T_hand fixed (~290 cycles with overheads).
-func Fig9(opts ...Option) (Fig9Result, error) {
-	return runAs[Fig9Result]("fig9", opts...)
+func Fig9(opts ...Option) (SynthSweepResult, error) {
+	return runAs[SynthSweepResult]("fig9", opts...)
 }
 
-// fig9TBetws returns the send-interval sweep for the chosen scale.
-func fig9TBetws(quick bool) []uint64 {
-	if quick {
-		return []uint64{100, 150, 275, 600}
-	}
-	return []uint64{100, 150, 200, 275, 400, 600, 900, 1300}
+// Fig10 reproduces: % messages buffered vs artificial additions to the
+// buffer-insert handler cost, at T_betw = 275 cycles and 1% skew.
+func Fig10(opts ...Option) (SynthSweepResult, error) {
+	return runAs[SynthSweepResult]("fig10", opts...)
 }
 
 // synthNs are the synth-N sizes Figures 9 and 10 sweep.
@@ -166,25 +168,79 @@ func synthGroups(n int, quick bool) int {
 	return max(1, total/n)
 }
 
-// fig9Experiment fans out one point per (synth-N, T_betw, trial).
-func fig9Experiment() *Experiment {
+// synthSweep defines one synth-N sweep figure. Figures 9 and 10 run the
+// same machine (synth-N against null at 1% skew) and differ only in the
+// swept quantity x and in their labels.
+type synthSweep struct {
+	name, description string
+	key               string // x's name in point labels
+	xs                func(quick bool) []uint64
+	// extraCost selects what x sets: the buffered-path cost addition
+	// (Cost.ExtraBufferCost, at T_betw = 275) rather than the synth send
+	// interval.
+	extraCost bool
+
+	title, axis, column, csvColumn string
+	paper                          string // the paper's expectation
+}
+
+var fig9Sweep = &synthSweep{
+	name:        "fig9",
+	description: "buffered fraction vs send interval for synth-N at 1% skew",
+	key:         "tbetw",
+	xs: func(quick bool) []uint64 {
+		if quick {
+			return []uint64{100, 150, 275, 600}
+		}
+		return []uint64{100, 150, 200, 275, 400, 600, 900, 1300}
+	},
+	title:     "Figure 9: % messages buffered vs send interval (1% skew)",
+	axis:      "T_betw (cycles)",
+	column:    "T_betw",
+	csvColumn: "t_betw",
+	paper:     "paper: small once T_betw > T_hand + buffering overhead; smaller N buffers less",
+}
+
+var fig10Sweep = &synthSweep{
+	name:        "fig10",
+	description: "buffered fraction vs added buffered-path cost for synth-N",
+	key:         "extra",
+	xs: func(quick bool) []uint64 {
+		if quick {
+			return []uint64{0, 200, 800}
+		}
+		return []uint64{0, 100, 200, 400, 800, 1600}
+	},
+	extraCost: true,
+	title:     "Figure 10: % messages buffered vs added buffered-path cost (T_betw=275, 1% skew)",
+	axis:      "added insert cost (cycles)",
+	column:    "extra cost",
+	csvColumn: "extra_insert_cost",
+	paper: "paper: synth-10 stays small; larger N climbs once the buffered path\n" +
+		"cannot keep up with the send rate",
+}
+
+// experiment fans out one point per (synth-N, x, trial).
+func (s *synthSweep) experiment() *Experiment {
 	return &Experiment{
-		Name:        "fig9",
-		Description: "buffered fraction vs send interval for synth-N at 1% skew",
+		Name:        s.name,
+		Description: s.description,
 		Points: func(opt Options) []Point {
 			var pts []Point
 			for _, n := range synthNs {
-				n := n
-				for _, tb := range fig9TBetws(opt.Quick) {
-					tb := tb
+				for _, x := range s.xs(opt.Quick) {
+					tBetw := x
+					var mut func(*glaze.Config)
+					if s.extraCost {
+						tBetw, mut = 275, func(cfg *glaze.Config) { cfg.Cost.ExtraBufferCost = x }
+					}
 					for trial := 0; trial < opt.trials(); trial++ {
-						trial := trial
 						pts = append(pts, Point{
-							Label: fmt.Sprintf("synth-%d tbetw=%d trial=%d", n, tb, trial),
+							Label: fmt.Sprintf("synth-%d %s=%d trial=%d", n, s.key, x, trial),
 							Run: func(_ context.Context, opt Options) (any, error) {
 								return RunMultiprogrammedQ(
-									func() apps.Instance { return apps.NewSynth(n, synthGroups(n, opt.Quick), tb) },
-									0.01, opt.TrialSeed(trial), Quantum, opt.machineMut(nil)), nil
+									func() apps.Instance { return apps.NewSynth(n, synthGroups(n, opt.Quick), tBetw) },
+									0.01, opt.TrialSeed(trial), Quantum, opt.machineMut(mut)), nil
 							},
 						})
 					}
@@ -193,12 +249,12 @@ func fig9Experiment() *Experiment {
 			return pts
 		},
 		Assemble: func(opt Options, results []any) (Result, error) {
-			res := Fig9Result{TBetws: fig9TBetws(opt.Quick), Ns: synthNs}
+			res := SynthSweepResult{X: s.xs(opt.Quick), Ns: synthNs, sweep: s}
 			groups := groupTrials(results, opt.trials())
 			g := 0
 			for range res.Ns {
 				var row []float64
-				for range res.TBetws {
+				for range res.X {
 					avg := averageStats(groups[g])
 					g++
 					if avg.Err != nil {
@@ -213,116 +269,22 @@ func fig9Experiment() *Experiment {
 	}
 }
 
-// Print renders Figure 9.
-func (r Fig9Result) Print(w io.Writer) {
+// Print renders the figure.
+func (r SynthSweepResult) Print(w io.Writer) {
 	var series []plot.Series
 	rows := [][]string{}
 	for i, n := range r.Ns {
 		s := plot.Series{Name: fmt.Sprintf("synth-%d", n)}
-		for j, tb := range r.TBetws {
-			s.X = append(s.X, float64(tb))
-			s.Y = append(s.Y, r.Pct[i][j])
-			rows = append(rows, []string{s.Name, u(tb), pct(r.Pct[i][j])})
-		}
-		series = append(series, s)
-	}
-	fmt.Fprintln(w, plot.Line("Figure 9: % messages buffered vs send interval (1% skew)",
-		"T_betw (cycles)", "% buffered", series, 60, 16))
-	fmt.Fprintln(w, plot.Table([]string{"app", "T_betw", "%buffered"}, rows))
-	fmt.Fprintln(w, "paper: small once T_betw > T_hand + buffering overhead; smaller N buffers less")
-	for _, err := range r.Errs {
-		fmt.Fprintf(w, "CHECK FAILED: %v\n", err)
-	}
-}
-
-// Fig10Result sweeps the buffered-path cost (Figure 10).
-type Fig10Result struct {
-	Extra []uint64
-	Ns    []int
-	Pct   [][]float64
-	Errs  []error
-}
-
-// Fig10 reproduces: % messages buffered vs artificial additions to the
-// buffer-insert handler cost, at T_betw = 275 cycles and 1% skew.
-func Fig10(opts ...Option) (Fig10Result, error) {
-	return runAs[Fig10Result]("fig10", opts...)
-}
-
-// fig10Extras returns the added-insert-cost sweep for the chosen scale.
-func fig10Extras(quick bool) []uint64 {
-	if quick {
-		return []uint64{0, 200, 800}
-	}
-	return []uint64{0, 100, 200, 400, 800, 1600}
-}
-
-// fig10Experiment fans out one point per (synth-N, extra cost, trial).
-func fig10Experiment() *Experiment {
-	return &Experiment{
-		Name:        "fig10",
-		Description: "buffered fraction vs added buffered-path cost for synth-N",
-		Points: func(opt Options) []Point {
-			var pts []Point
-			for _, n := range synthNs {
-				n := n
-				for _, extra := range fig10Extras(opt.Quick) {
-					extra := extra
-					for trial := 0; trial < opt.trials(); trial++ {
-						trial := trial
-						pts = append(pts, Point{
-							Label: fmt.Sprintf("synth-%d extra=%d trial=%d", n, extra, trial),
-							Run: func(_ context.Context, opt Options) (any, error) {
-								return RunMultiprogrammed(
-									func() apps.Instance { return apps.NewSynth(n, synthGroups(n, opt.Quick), 275) },
-									0.01, opt.TrialSeed(trial),
-									opt.machineMut(func(cfg *glaze.Config) { cfg.Cost.ExtraBufferCost = extra })), nil
-							},
-						})
-					}
-				}
-			}
-			return pts
-		},
-		Assemble: func(opt Options, results []any) (Result, error) {
-			res := Fig10Result{Extra: fig10Extras(opt.Quick), Ns: synthNs}
-			groups := groupTrials(results, opt.trials())
-			g := 0
-			for range res.Ns {
-				var row []float64
-				for range res.Extra {
-					avg := averageStats(groups[g])
-					g++
-					if avg.Err != nil {
-						res.Errs = append(res.Errs, avg.Err)
-					}
-					row = append(row, avg.BufferedPct)
-				}
-				res.Pct = append(res.Pct, row)
-			}
-			return res, nil
-		},
-	}
-}
-
-// Print renders Figure 10.
-func (r Fig10Result) Print(w io.Writer) {
-	var series []plot.Series
-	rows := [][]string{}
-	for i, n := range r.Ns {
-		s := plot.Series{Name: fmt.Sprintf("synth-%d", n)}
-		for j, x := range r.Extra {
+		for j, x := range r.X {
 			s.X = append(s.X, float64(x))
 			s.Y = append(s.Y, r.Pct[i][j])
 			rows = append(rows, []string{s.Name, u(x), pct(r.Pct[i][j])})
 		}
 		series = append(series, s)
 	}
-	fmt.Fprintln(w, plot.Line("Figure 10: % messages buffered vs added buffered-path cost (T_betw=275, 1% skew)",
-		"added insert cost (cycles)", "% buffered", series, 60, 16))
-	fmt.Fprintln(w, plot.Table([]string{"app", "extra cost", "%buffered"}, rows))
-	fmt.Fprintln(w, "paper: synth-10 stays small; larger N climbs once the buffered path")
-	fmt.Fprintln(w, "cannot keep up with the send rate")
+	fmt.Fprintln(w, plot.Line(r.sweep.title, r.sweep.axis, "% buffered", series, 60, 16))
+	fmt.Fprintln(w, plot.Table([]string{"app", r.sweep.column, "%buffered"}, rows))
+	fmt.Fprintln(w, r.sweep.paper)
 	for _, err := range r.Errs {
 		fmt.Fprintf(w, "CHECK FAILED: %v\n", err)
 	}

@@ -102,20 +102,15 @@ func RunStandaloneMut(make func() apps.Instance, seed uint64, mut func(*glaze.Co
 	}
 	m := glaze.NewMachine(cfg)
 	job := m.NewJob(inst.Name())
-	instrument(m, job, inst)
+	inst.Start(m, job)
 	m.NewGang(1<<40, 0, job).Start()
 	start := m.Eng.Now()
 	m.RunUntilDone(0, job)
 	return collect(inst, job, m, 0, job.DoneAt()-start)
 }
 
-// RunMultiprogrammed executes an instance against a null application under
-// a gang schedule with the given clock skew (Figures 7-10).
-func RunMultiprogrammed(make func() apps.Instance, skew float64, seed uint64, mut func(*glaze.Config)) RunStats {
-	return RunMultiprogrammedQ(make, skew, seed, Quantum, mut)
-}
-
-// RunMultiprogrammedQ is RunMultiprogrammed with an explicit quantum.
+// RunMultiprogrammedQ executes an instance against a null application under
+// a gang schedule with the given quantum and clock skew (Figures 7-10).
 func RunMultiprogrammedQ(make func() apps.Instance, skew float64, seed uint64, quantum uint64, mut func(*glaze.Config)) RunStats {
 	inst := make()
 	cfg := machineConfig(seed)
@@ -125,19 +120,11 @@ func RunMultiprogrammedQ(make func() apps.Instance, skew float64, seed uint64, q
 	m := glaze.NewMachine(cfg)
 	job := m.NewJob(inst.Name())
 	null := m.NewJob("null")
-	instrument(m, job, inst)
+	inst.Start(m, job)
 	apps.Null{}.Start(m, null)
 	m.NewGang(quantum, skew, job, null).Start()
 	m.RunUntilDone(0, job)
 	return collect(inst, job, m, skew, job.DoneAt())
-}
-
-// instrument starts the instance and keeps the rig for characterization.
-// The rig must be built by the instance itself; we recover per-EP stats
-// through the job's processes instead, so instances stay self-contained.
-func instrument(m *glaze.Machine, job *glaze.Job, inst apps.Instance) *glaze.Job {
-	inst.Start(m, job)
-	return job
 }
 
 // collect assembles RunStats after completion. FinishTelemetry runs first

@@ -128,11 +128,11 @@ func TestFig9ShapeQuick(t *testing.T) {
 	if len(r.Errs) > 0 {
 		t.Fatalf("checks failed: %v", r.Errs)
 	}
-	last := len(r.TBetws) - 1
+	last := len(r.X) - 1
 	// synth-1000 buffers more at the lowest interval than the highest.
 	if r.Pct[2][0] <= r.Pct[2][last] {
 		t.Errorf("synth-1000: %.2f%% at tb=%d vs %.2f%% at tb=%d",
-			r.Pct[2][0], r.TBetws[0], r.Pct[2][last], r.TBetws[last])
+			r.Pct[2][0], r.X[0], r.Pct[2][last], r.X[last])
 	}
 	var sb strings.Builder
 	r.Print(&sb)
@@ -152,7 +152,7 @@ func TestFig10ShapeQuick(t *testing.T) {
 	if len(r.Errs) > 0 {
 		t.Fatalf("checks failed: %v", r.Errs)
 	}
-	last := len(r.Extra) - 1
+	last := len(r.X) - 1
 	if r.Pct[2][last] <= r.Pct[2][0] {
 		t.Error("synth-1000 buffering did not grow with buffered-path cost")
 	}

@@ -147,14 +147,6 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum
 }
 
-// Mean returns the average sample, 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Registry is a named set of instruments. Instrument constructors are
 // get-or-create: asking twice for the same name returns the same instrument;
 // asking for a name already registered as a different kind panics (a

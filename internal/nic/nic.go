@@ -88,45 +88,12 @@ type Config struct {
 	QueueAudit bool
 }
 
-// ConfigOption mutates a Config under construction.
-type ConfigOption func(*Config)
-
-// WithInputQueueDepth sets the receive-queue capacity in messages.
-func WithInputQueueDepth(n int) ConfigOption { return func(c *Config) { c.InputQueueDepth = n } }
-
-// WithQueue selects the input-queue organization (model, allocation policy
-// and optionally an explicit slot count; see niq.Spec).
-func WithQueue(spec niq.Spec) ConfigOption { return func(c *Config) { c.Queue = spec } }
-
-// WithQueueAudit checks the input queue's structural invariants after every
-// mutation (see Config.QueueAudit). Property tests use it to catch a
-// reserve violation at the moment it happens rather than after the run.
-func WithQueueAudit() ConfigOption { return func(c *Config) { c.QueueAudit = true } }
-
-// WithOutputWords sets the send descriptor buffer capacity in words.
-func WithOutputWords(n int) ConfigOption { return func(c *Config) { c.OutputWords = n } }
-
-// WithTimerPreset sets the atomicity-timeout preset value.
-func WithTimerPreset(v uint64) ConfigOption { return func(c *Config) { c.TimerPreset = v } }
-
-// WithDrainPerWord sets the output drain rate in cycles per word.
-func WithDrainPerWord(v uint64) ConfigOption { return func(c *Config) { c.DrainPerWord = v } }
-
 // DefaultConfig mirrors the FUGU hardware: a small single input queue and a
 // 16-word send descriptor. The timer preset is a free parameter of the
 // design ("may be changed without affecting correctness"); 2000 cycles is
 // comfortably above any reasonable handler.
 func DefaultConfig() Config {
 	return Config{InputQueueDepth: 16, OutputWords: 16, TimerPreset: 2000, DrainPerWord: 1}
-}
-
-// NewConfig builds a Config from the defaults plus options.
-func NewConfig(opts ...ConfigOption) Config {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
 }
 
 // Offload is the receive-side offload engine of a hardware-demultiplexing
@@ -164,7 +131,7 @@ type NI struct {
 	// Send side.
 	out         []uint64
 	outBusyTill uint64
-	spaceWait   *sim.Cond // procs blocked for output drain (blocking stores)
+	spaceWait   *sim.Cond // broadcast when the output buffer drains; only tests wait on it
 	drainFn     func()    // broadcasts spaceWait; bound once so Launch never allocates
 
 	// Protection and control state (kernel-managed except UAC user bits).
@@ -188,8 +155,6 @@ type NI struct {
 	launched  uint64
 	disposed  uint64
 	kdisposed uint64
-	demuxed   uint64 // user packets sorted by the offload engine
-	nacked    uint64 // user packets refused by offload admission
 
 	// Metrics instruments, nil (no-op) unless UseMetrics is called.
 	mArrived   *metrics.Counter
@@ -288,9 +253,6 @@ func New(eng *sim.Engine, net *mesh.Net, node int, cfg Config) *NI {
 // SetInterrupts wires the NI's interrupt lines.
 func (ni *NI) SetInterrupts(i Interrupts) { ni.intr = i }
 
-// Node returns the node number this NI serves.
-func (ni *NI) Node() int { return ni.node }
-
 // OutputWords returns the send descriptor buffer capacity in words.
 func (ni *NI) OutputWords() int { return ni.cfg.OutputWords }
 
@@ -315,7 +277,6 @@ func (ni *NI) Arrive(pkt *mesh.Packet) bool {
 	if ni.off != nil && !HeaderIsKernel(pkt.Words[0]) && !ni.off.AdmitUser(pkt) {
 		// Offload admission refused (destination ring full or unknown
 		// geometry): NACK the packet back into the network for retry.
-		ni.nacked++
 		ni.mNacked.Inc()
 		return false
 	}
@@ -386,9 +347,6 @@ func (ni *NI) HeadPacket() *mesh.Packet { return ni.q.Head() }
 
 // QueueLen reports how many messages sit in the input queue.
 func (ni *NI) QueueLen() int { return ni.q.Len() }
-
-// Queue exposes the input-queue organization for tests and diagnostics.
-func (ni *NI) Queue() niq.InputQueue { return ni.q }
 
 // Dispose implements the user dispose operation of Table 1: under divert it
 // traps dispose-extend so the OS can emulate disposal from the software
@@ -504,7 +462,6 @@ func (ni *NI) demuxLoop() {
 		if !ni.off.DemuxHead(pkt) {
 			break
 		}
-		ni.demuxed++
 		ni.mDemuxed.Inc()
 		ni.popHead()
 	}
@@ -535,13 +492,9 @@ func (ni *NI) SpaceAvailable() int {
 	return avail
 }
 
-// OutputReadyAt returns the time the output buffer finishes draining; the
-// udm layer parks blocking injectors until then.
-func (ni *NI) OutputReadyAt() uint64 { return ni.outBusyTill }
-
 // Describe appends words to the output descriptor buffer. The caller must
 // have checked SpaceAvailable (blocking-store semantics live in the udm
-// layer, which parks until OutputReadyAt).
+// layer, whose injector spends a cycle at a time until space frees up).
 func (ni *NI) Describe(words ...uint64) {
 	if len(ni.out)+len(words) > ni.cfg.OutputWords {
 		panic(fmt.Sprintf("nic: descriptor overflow (%d+%d > %d)", len(ni.out), len(words), ni.cfg.OutputWords))
@@ -609,6 +562,7 @@ func (ni *NI) Launch(kernelPriv bool) Trap {
 var siteDrain = sim.NewSite("nic.drain")
 
 // SpaceCond returns the condition signalled when the output buffer drains.
+// Only tests wait on it: the udm layer polls SpaceAvailable instead.
 func (ni *NI) SpaceCond() *sim.Cond { return ni.spaceWait }
 
 // ---------------------------------------------------------------------------
@@ -713,11 +667,3 @@ func (ni *NI) TimerRemaining() uint64 { return ni.timer.remainingNow() }
 func (ni *NI) Stats() (arrived, refused, launched, disposed, kdisposed uint64) {
 	return ni.arrived, ni.refused, ni.launched, ni.disposed, ni.kdisposed
 }
-
-// Demuxed reports user packets sorted into per-process stores by the
-// offload engine (always zero without one).
-func (ni *NI) Demuxed() uint64 { return ni.demuxed }
-
-// Nacked reports user packets refused by offload admission and bounced back
-// into the network for retry (always zero without an offload).
-func (ni *NI) Nacked() uint64 { return ni.nacked }

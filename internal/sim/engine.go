@@ -128,15 +128,6 @@ func (e *Engine) scheduleProc(delay uint64, p *Proc) Handle {
 	return Handle{ev, ev.gen}
 }
 
-// ScheduleAt registers fn to run at absolute time at (which must not be in
-// the past) and returns a cancellable handle.
-func (e *Engine) ScheduleAt(at uint64, fn func()) Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: ScheduleAt(%d) in the past (now=%d)", at, e.now))
-	}
-	return e.Schedule(at-e.now, fn)
-}
-
 // ScheduleArgAt is ScheduleArg with an absolute fire time.
 func (e *Engine) ScheduleArgAt(at uint64, fn func(any), arg any) Handle {
 	if at < e.now {

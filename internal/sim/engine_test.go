@@ -79,31 +79,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestScheduleAt(t *testing.T) {
-	e := NewEngine(1)
-	var at uint64
-	e.Schedule(5, func() {
-		e.ScheduleAt(42, func() { at = e.Now() })
-	})
-	e.Run()
-	if at != 42 {
-		t.Errorf("event fired at %d, want 42", at)
-	}
-}
-
-func TestScheduleAtPastPanics(t *testing.T) {
-	e := NewEngine(1)
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ScheduleAt in the past did not panic")
-			}
-		}()
-		e.ScheduleAt(5, func() {})
-	})
-	e.Run()
-}
-
 func TestStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0

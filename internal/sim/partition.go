@@ -72,9 +72,6 @@ func NewParallelGroup(seed uint64, parts int, lookahead uint64) *Group {
 	return g
 }
 
-// Lookahead returns the conservative window width.
-func (g *Group) Lookahead() uint64 { return g.lookahead }
-
 // Shard returns partition engine i.
 func (g *Group) Shard(i int) *Engine { return g.shards[i] }
 

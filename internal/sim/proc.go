@@ -35,10 +35,6 @@ type Proc struct {
 	chained bool
 	// site labels this proc's wake events for the cost profiler (SetSite).
 	site Site
-
-	// Tag is free for higher layers (e.g. the CPU scheduler) to attach
-	// identity to a proc; the engine never touches it.
-	Tag any
 }
 
 // Spawn creates a proc running fn and schedules its first dispatch at the
@@ -217,18 +213,6 @@ func (e *Engine) WakeAfter(p *Proc, delay uint64) Handle {
 	h := e.scheduleProc(delay, p)
 	p.wake = h
 	return h
-}
-
-// CancelWake cancels p's pending wake, if any, and reports whether a pending
-// wake existed. After a successful CancelWake the caller owns the
-// responsibility of waking p again.
-func (e *Engine) CancelWake(p *Proc) bool {
-	if p.wake.Pending() {
-		e.Cancel(p.wake)
-		p.wake = Handle{}
-		return true
-	}
-	return false
 }
 
 // HasPendingWake reports whether p has a wake event queued.

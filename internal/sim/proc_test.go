@@ -64,27 +64,6 @@ func TestParkAndWake(t *testing.T) {
 	}
 }
 
-func TestCancelWake(t *testing.T) {
-	e := NewEngine(1)
-	var woke uint64
-	p := e.Spawn("p", func(p *Proc) {
-		// Arranged wake at 50 will be cancelled and replaced by one at 80.
-		p.Engine().WakeAfter(p, 50)
-		p.Park()
-		woke = p.Now()
-	})
-	e.Schedule(10, func() {
-		if !e.CancelWake(p) {
-			t.Error("CancelWake found no pending wake")
-		}
-		e.WakeAfter(p, 70) // 10+70 = 80
-	})
-	e.Run()
-	if woke != 80 {
-		t.Errorf("woke at %d, want 80", woke)
-	}
-}
-
 func TestDoubleWakePanics(t *testing.T) {
 	e := NewEngine(1)
 	p := e.Spawn("p", func(p *Proc) { p.Park() })
@@ -133,15 +112,10 @@ func TestLiveProcsLeakDetection(t *testing.T) {
 
 func TestProcTagAndName(t *testing.T) {
 	e := NewEngine(1)
-	p := e.Spawn("tagged", func(p *Proc) {
-		p.Tag = 42
-	})
+	p := e.Spawn("tagged", func(p *Proc) {})
 	e.Run()
 	if p.Name() != "tagged" {
 		t.Errorf("Name = %q", p.Name())
-	}
-	if p.Tag != 42 {
-		t.Errorf("Tag = %v, want 42", p.Tag)
 	}
 	if !p.Done() {
 		t.Error("Done = false after run")

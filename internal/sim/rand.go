@@ -66,14 +66,3 @@ func (r *Rand) UniformAround(mean uint64) uint64 {
 	lo := mean / 2
 	return lo + r.Uint64n(mean)
 }
-
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

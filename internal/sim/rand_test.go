@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRandDeterministic(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
@@ -92,27 +89,5 @@ func TestUniformAroundMean(t *testing.T) {
 	}
 	if r.UniformAround(0) != 0 {
 		t.Error("UniformAround(0) != 0")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	prop := func(seed uint64, n uint8) bool {
-		r := NewRand(seed)
-		m := int(n%64) + 1
-		p := r.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }

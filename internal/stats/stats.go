@@ -1,12 +1,9 @@
 // Package stats provides the small counter types the simulator layers use to
 // report the quantities the paper's evaluation measures: per-path message
-// counts, buffering page high-water marks, and simple aggregates.
+// counts and simple averages.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Delivery tallies how messages reached an application: directly from the
 // network interface (the fast case) or via the software buffer (the slow
@@ -39,51 +36,16 @@ func (d Delivery) String() string {
 	return fmt.Sprintf("fast=%d buffered=%d (%.2f%%)", d.Fast, d.Buffered, d.BufferedPct())
 }
 
-// HighWater tracks a maximum over time.
-type HighWater struct {
-	Cur int
-	Max int
-}
-
-// Set updates the current level, advancing the maximum.
-func (h *HighWater) Set(v int) {
-	h.Cur = v
-	if v > h.Max {
-		h.Max = v
-	}
-}
-
-// Add adjusts the current level by delta, clamping at zero — an over-release
-// (more frees than allocations reached this counter) must not drive the
-// level negative and poison every later reading. It returns the clamped
-// level so callers can detect the underflow.
-func (h *HighWater) Add(delta int) int {
-	v := h.Cur + delta
-	if v < 0 {
-		v = 0
-	}
-	h.Set(v)
-	return v
-}
-
-// Mean is a streaming average with spread, accumulated via Welford's online
-// algorithm so a single pass yields mean and variance without catastrophic
-// cancellation.
+// Mean is a streaming average.
 type Mean struct {
 	Sum   float64
 	Count uint64
-
-	mean float64 // running mean (Welford)
-	m2   float64 // sum of squared deviations from the running mean
 }
 
 // Observe adds a sample.
 func (m *Mean) Observe(v float64) {
 	m.Sum += v
 	m.Count++
-	d := v - m.mean
-	m.mean += d / float64(m.Count)
-	m.m2 += d * (v - m.mean)
 }
 
 // Value returns the mean, or 0 with no samples.
@@ -93,14 +55,3 @@ func (m *Mean) Value() float64 {
 	}
 	return m.Sum / float64(m.Count)
 }
-
-// Variance returns the population variance, 0 with fewer than two samples.
-func (m *Mean) Variance() float64 {
-	if m.Count < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.Count)
-}
-
-// StdDev returns the population standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDeliveryPct(t *testing.T) {
 	d := Delivery{Fast: 75, Buffered: 25}
@@ -31,56 +27,6 @@ func TestDeliveryAdd(t *testing.T) {
 	}
 }
 
-func TestHighWater(t *testing.T) {
-	var h HighWater
-	h.Set(5)
-	h.Set(3)
-	h.Add(1)
-	if h.Cur != 4 || h.Max != 5 {
-		t.Errorf("h = %+v, want cur 4 max 5", h)
-	}
-	h.Add(10)
-	if h.Max != 14 {
-		t.Errorf("Max = %d, want 14", h.Max)
-	}
-}
-
-func TestHighWaterInvariant(t *testing.T) {
-	prop := func(deltas []int8) bool {
-		var h HighWater
-		for _, d := range deltas {
-			h.Add(int(d))
-			if h.Max < h.Cur || h.Cur < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestHighWaterOverReleaseClamps is the regression test for Add driving Cur
-// negative: releasing more than was ever added clamps at zero (and reports
-// the clamped level), so later Adds start from a sane base.
-func TestHighWaterOverReleaseClamps(t *testing.T) {
-	var h HighWater
-	h.Add(2)
-	if got := h.Add(-5); got != 0 {
-		t.Errorf("over-release returned %d, want 0", got)
-	}
-	if h.Cur != 0 || h.Max != 2 {
-		t.Errorf("h = %+v, want cur 0 max 2", h)
-	}
-	if got := h.Add(3); got != 3 {
-		t.Errorf("post-clamp Add returned %d, want 3", got)
-	}
-	if h.Cur != 3 || h.Max != 3 {
-		t.Errorf("h = %+v, want cur 3 max 3", h)
-	}
-}
-
 func TestMean(t *testing.T) {
 	var m Mean
 	if m.Value() != 0 {
@@ -94,37 +40,5 @@ func TestMean(t *testing.T) {
 	}
 	if m.Count != 3 {
 		t.Errorf("count = %d", m.Count)
-	}
-}
-
-func TestMeanVariance(t *testing.T) {
-	var m Mean
-	if m.Variance() != 0 || m.StdDev() != 0 {
-		t.Error("empty variance/stddev != 0")
-	}
-	m.Observe(5)
-	if m.Variance() != 0 {
-		t.Error("single-sample variance != 0")
-	}
-	// Samples 2, 4, 6: mean 4, population variance (4+0+4)/3.
-	m = Mean{}
-	for _, v := range []float64{2, 4, 6} {
-		m.Observe(v)
-	}
-	want := 8.0 / 3.0
-	if got := m.Variance(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("variance = %v, want %v", got, want)
-	}
-	if got := m.StdDev(); math.Abs(got-math.Sqrt(want)) > 1e-12 {
-		t.Errorf("stddev = %v, want %v", got, math.Sqrt(want))
-	}
-	// Welford must survive a large offset a naive sum-of-squares would not:
-	// variance of {1e9, 1e9+2, 1e9+4} is the same 8/3.
-	m = Mean{}
-	for _, v := range []float64{1e9, 1e9 + 2, 1e9 + 4} {
-		m.Observe(v)
-	}
-	if got := m.Variance(); math.Abs(got-want) > 1e-6 {
-		t.Errorf("offset variance = %v, want %v", got, want)
 	}
 }

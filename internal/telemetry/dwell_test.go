@@ -19,7 +19,6 @@ func dwell(pairs ...any) map[string]uint64 {
 // deltas sum back to the final cumulative totals.
 func TestDwellDeltas(t *testing.T) {
 	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
 	r.Record(Sample{At: 100, Snap: snap("a", 1), Dwell: dwell("queued", 40, "buffered", 0)})
 	r.Record(Sample{At: 200, Snap: snap("a", 2), Dwell: dwell("queued", 90, "buffered", 30)})
 	tl := r.Finish(Sample{At: 300, Snap: snap("a", 3), Dwell: dwell("queued", 90, "buffered", 55)})
@@ -58,7 +57,6 @@ func TestDwellDeltas(t *testing.T) {
 // emitting a duplicate-cycle record.
 func TestDwellFoldsIntoSameCycleInterval(t *testing.T) {
 	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
 	r.Record(Sample{At: 100, Snap: snap("a", 1), Dwell: dwell("queued", 10)})
 	tl := r.Finish(Sample{At: 100, Snap: snap("a", 1), Dwell: dwell("queued", 25)})
 	if len(tl.Intervals) != 1 {
@@ -74,7 +72,6 @@ func TestDwellFoldsIntoSameCycleInterval(t *testing.T) {
 // exports stay byte-identical.
 func TestDwellCSVColumns(t *testing.T) {
 	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
 	tl := r.Finish(Sample{At: 100, Snap: snap("a", 2), Dwell: dwell("queued", 7)})
 	var b strings.Builder
 	if err := WriteCSV(&b, []LabeledTimeline{{Label: "p", Timeline: tl}}); err != nil {
@@ -90,7 +87,6 @@ func TestDwellCSVColumns(t *testing.T) {
 
 	// No spans recorder -> no Dwell maps -> no d: columns at all.
 	r2 := NewRecorder(Config{Every: 100})
-	r2.AttachMachine()
 	tl2 := r2.Finish(Sample{At: 100, Snap: snap("a", 2)})
 	var b2 strings.Builder
 	if err := WriteCSV(&b2, []LabeledTimeline{{Label: "p", Timeline: tl2}}); err != nil {

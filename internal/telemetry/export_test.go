@@ -13,7 +13,6 @@ import (
 // metacharacters, exercising the shared metrics.CSVField escaping.
 func nastyTimeline() []LabeledTimeline {
 	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
 	s := metrics.NewSnapshot()
 	s.Counters[`evil,name`] = 3
 	s.Counters[`quo"ted`] = 7
@@ -64,7 +63,6 @@ func TestWriteCSVEscapingRoundTrip(t *testing.T) {
 func TestWriteCSVDeterministic(t *testing.T) {
 	mk := func(name string, v int) Timeline {
 		r := NewRecorder(Config{Every: 100})
-		r.AttachMachine()
 		s := metrics.NewSnapshot()
 		s.Counters[name] = uint64(v)
 		return r.Finish(Sample{At: 100, Snap: s})

@@ -68,8 +68,9 @@ type HistDelta struct {
 // Interval is one flight-recorder record: the machine's activity between
 // the previous sample and Cycle.
 type Interval struct {
-	// Epoch distinguishes machines when one recorder observes several in
-	// sequence (table4-style multi-run points); cycles restart per epoch.
+	// Epoch numbers the machine within a multi-machine timeline (Concat
+	// assigns it; a recorder observes one machine, epoch 0); cycles
+	// restart per epoch.
 	Epoch int    `json:"epoch"`
 	Cycle uint64 `json:"cycle"`
 	// SpansInFlight is the number of unterminated message spans at the
@@ -125,8 +126,8 @@ type Timeline struct {
 	// Dropped counts intervals evicted from the ring; when non-zero the
 	// deltas no longer sum to Totals.
 	Dropped int `json:"dropped"`
-	// Totals is the merged final registry snapshot across all finished
-	// epochs. With Dropped == 0, per-instrument counter deltas summed over
+	// Totals is the final registry snapshot, merged across epochs by
+	// Concat. With Dropped == 0, per-instrument counter deltas summed over
 	// Intervals equal Totals.Counters exactly — the reconciliation
 	// invariant CI checks.
 	Totals metrics.Snapshot `json:"totals"`
@@ -137,7 +138,7 @@ func (t Timeline) Empty() bool { return len(t.Intervals) == 0 && t.Totals.Empty(
 
 // SumCounters sums the per-interval counter deltas — the left-hand side of
 // the reconciliation invariant (equals Totals.Counters when Dropped == 0
-// and every epoch was finished).
+// and every machine's recorder was finished).
 func (t Timeline) SumCounters() map[string]uint64 {
 	out := map[string]uint64{}
 	for _, iv := range t.Intervals {
@@ -148,31 +149,20 @@ func (t Timeline) SumCounters() map[string]uint64 {
 	return out
 }
 
-// Concat splices per-machine timelines into one, renumbering epochs so they
-// stay distinct, merging totals and summing drops. Multi-machine sweep
-// points (table4 runs up to three machines per point) use it to present one
-// timeline per point.
+// Concat splices per-machine timelines into one, numbering the i-th
+// timeline's intervals as epoch i, merging totals and summing drops.
+// Multi-machine sweep points (table4 runs up to three machines per point,
+// averaged trials one per trial) use it to present one timeline per point.
 func Concat(tls ...Timeline) Timeline {
 	var out Timeline
 	snaps := make([]metrics.Snapshot, 0, len(tls))
-	offset := 0
-	for _, tl := range tls {
+	for i, tl := range tls {
 		if out.Every == 0 {
 			out.Every = tl.Every
 		}
-		maxEpoch := -1
 		for _, iv := range tl.Intervals {
-			iv.Epoch += offset
-			if iv.Epoch > maxEpoch {
-				maxEpoch = iv.Epoch
-			}
+			iv.Epoch = i
 			out.Intervals = append(out.Intervals, iv)
-		}
-		if maxEpoch < offset && !tl.Totals.Empty() {
-			maxEpoch = offset // an epoch with totals but no intervals still claims a slot
-		}
-		if maxEpoch >= offset {
-			offset = maxEpoch + 1
 		}
 		out.Dropped += tl.Dropped
 		snaps = append(snaps, tl.Totals)
@@ -181,26 +171,23 @@ func Concat(tls ...Timeline) Timeline {
 	return out
 }
 
-// Recorder accumulates intervals into the ring. All methods are nil-safe
-// no-ops on a nil receiver, so "telemetry disabled" is a nil pointer with
-// zero cost (no events, no allocations) on every hot path.
+// Recorder accumulates one machine's intervals into the ring. All methods
+// are nil-safe no-ops on a nil receiver, so "telemetry disabled" is a nil
+// pointer with zero cost (no events, no allocations) on every hot path.
 type Recorder struct {
 	cfg Config
 
-	epoch    int
-	attached bool // AttachMachine seen at least once
-
-	prev      metrics.Snapshot  // snapshot at the previous sample of this epoch
+	prev      metrics.Snapshot  // snapshot at the previous sample
 	prevDwell map[string]uint64 // cumulative dwell at the previous sample
 	lastAt    uint64
-	hasSample bool // any sample recorded in the current epoch
-	finished  bool // Finish seen for the current epoch
+	hasSample bool // any sample recorded yet
+	finished  bool // Finish seen
 
 	buf     []Interval // ring storage
 	head, n int
 	dropped int
 
-	totals metrics.Snapshot // merged final snapshots of finished epochs
+	totals metrics.Snapshot // final snapshot, set by Finish
 }
 
 // NewRecorder builds a flight recorder, substituting defaults for zero
@@ -223,24 +210,6 @@ func (r *Recorder) Every() uint64 {
 	return r.cfg.Every
 }
 
-// AttachMachine starts a new epoch: delta state resets so the first sample
-// of the new machine diffs against an empty snapshot. Mirrors
-// spans.Recorder.AttachMachine.
-func (r *Recorder) AttachMachine() {
-	if r == nil {
-		return
-	}
-	if r.attached {
-		r.epoch++
-	}
-	r.attached = true
-	r.prev = metrics.Snapshot{}
-	r.prevDwell = nil
-	r.lastAt = 0
-	r.hasSample = false
-	r.finished = false
-}
-
 // Record appends one interval: the delta of s against the previous sample.
 func (r *Recorder) Record(s Sample) {
 	if r == nil {
@@ -257,13 +226,13 @@ func (r *Recorder) Record(s Sample) {
 	r.hasSample = true
 }
 
-// Finish closes the current epoch with a final sample and returns the
-// timeline so far. The closing delta lands in its own interval unless the
-// engine stopped on the same cycle as the last sample, in which case it is
-// folded into that interval (keeping the cycle column strictly monotone per
-// epoch without losing counts; folded histogram quantiles keep the
-// pre-fold estimate). Finishing twice without a new AttachMachine is a
-// no-op, so harness collection and ad-hoc callers compose.
+// Finish closes the recording with a final sample and returns the
+// timeline. The closing delta lands in its own interval unless the engine
+// stopped on the same cycle as the last sample, in which case it is folded
+// into that interval (keeping the cycle column strictly monotone without
+// losing counts; folded histogram quantiles keep the pre-fold estimate).
+// Finishing twice is a no-op, so harness collection and ad-hoc callers
+// compose.
 func (r *Recorder) Finish(s Sample) Timeline {
 	if r == nil {
 		return Timeline{}
@@ -283,7 +252,7 @@ func (r *Recorder) Finish(s Sample) Timeline {
 				r.foldIntoLast(iv)
 			}
 		}
-		r.totals = metrics.Merge(r.totals, s.Snap)
+		r.totals = metrics.Merge(s.Snap)
 		r.prev = s.Snap
 		r.prevDwell = s.Dwell
 		r.lastAt = s.At
@@ -325,7 +294,6 @@ func (r *Recorder) Recent(k int) []Interval {
 // delta computes the interval record for sample s against r.prev.
 func (r *Recorder) delta(s Sample) Interval {
 	iv := Interval{
-		Epoch:         r.epoch,
 		Cycle:         s.At,
 		SpansInFlight: s.SpansInFlight,
 		QueueSum:      s.QueueSum,

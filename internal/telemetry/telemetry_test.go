@@ -23,7 +23,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	if r.Every() != 0 {
 		t.Errorf("nil.Every() = %d, want 0", r.Every())
 	}
-	r.AttachMachine()
 	r.Record(Sample{At: 10})
 	if tl := r.Finish(Sample{At: 20}); !tl.Empty() {
 		t.Errorf("nil.Finish returned non-empty timeline: %+v", tl)
@@ -45,7 +44,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 // column sum over the CSV reconciles exactly with the final totals.
 func TestDeltasOmitZero(t *testing.T) {
 	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
 	r.Record(Sample{At: 100, Snap: snap("a", 5, "idle", 7)})
 	r.Record(Sample{At: 200, Snap: snap("a", 9, "idle", 7)}) // idle unchanged
 	tl := r.Finish(Sample{At: 300, Snap: snap("a", 9, "idle", 8)})
@@ -94,7 +92,6 @@ func assertReconciles(t *testing.T, tl Timeline) {
 // the counts stay exact.
 func TestFinishFoldsSameCycle(t *testing.T) {
 	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
 	r.Record(Sample{At: 100, Snap: snap("a", 5)})
 	tl := r.Finish(Sample{At: 100, Snap: snap("a", 8)})
 
@@ -122,12 +119,11 @@ func assertMonotone(t *testing.T, tl Timeline) {
 	}
 }
 
-// TestFinishIdempotent: a second Finish without a new AttachMachine must not
-// add intervals or double-merge totals, so the harness's collection and an
-// ad-hoc caller's can coexist.
+// TestFinishIdempotent: a second Finish must not add intervals or
+// double-merge totals, so the harness's collection and an ad-hoc caller's
+// can coexist.
 func TestFinishIdempotent(t *testing.T) {
 	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
 	r.Record(Sample{At: 100, Snap: snap("a", 5)})
 	first := r.Finish(Sample{At: 150, Snap: snap("a", 7)})
 	second := r.Finish(Sample{At: 900, Snap: snap("a", 99)})
@@ -143,7 +139,6 @@ func TestFinishIdempotent(t *testing.T) {
 // counts what it dropped.
 func TestRingEviction(t *testing.T) {
 	r := NewRecorder(Config{Every: 10, Cap: 4})
-	r.AttachMachine()
 	for i := 1; i <= 10; i++ {
 		r.Record(Sample{At: uint64(i * 10), Snap: snap("a", i)})
 	}
@@ -163,41 +158,40 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-// TestEpochsAndConcat: AttachMachine starts a new epoch whose cycles restart
-// at zero; Concat renumbers epochs across timelines so they stay distinct.
-func TestEpochsAndConcat(t *testing.T) {
-	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
-	r.Finish(Sample{At: 100, Snap: snap("a", 3)})
-	r.AttachMachine()
-	tl := r.Finish(Sample{At: 50, Snap: snap("a", 2)})
-
-	if len(tl.Intervals) != 2 {
-		t.Fatalf("got %d intervals, want 2", len(tl.Intervals))
+// TestConcat: Concat numbers the i-th single-machine timeline as epoch i,
+// so cycles that restart per machine stay distinguishable, and merges the
+// totals so the spliced timeline still reconciles.
+func TestConcat(t *testing.T) {
+	machine := func(samples ...Sample) Timeline {
+		r := NewRecorder(Config{Every: 100})
+		for _, s := range samples[:len(samples)-1] {
+			r.Record(s)
+		}
+		return r.Finish(samples[len(samples)-1])
 	}
-	if tl.Intervals[0].Epoch != 0 || tl.Intervals[1].Epoch != 1 {
-		t.Errorf("epochs = %d,%d, want 0,1", tl.Intervals[0].Epoch, tl.Intervals[1].Epoch)
+	tls := []Timeline{
+		machine(Sample{At: 100, Snap: snap("a", 1)}, Sample{At: 150, Snap: snap("a", 3)}),
+		machine(Sample{At: 50, Snap: snap("a", 2)}),
+		machine(Sample{At: 100, Snap: snap("b", 1)}, Sample{At: 200, Snap: snap("b", 4)}),
 	}
-	if got := tl.Totals.Counters["a"]; got != 5 {
-		t.Errorf("totals a = %d, want 5 (3+2 across epochs)", got)
+	cat := Concat(tls...)
+	if len(cat.Intervals) != 5 {
+		t.Fatalf("concat: %d intervals, want 5", len(cat.Intervals))
 	}
-	assertReconciles(t, tl)
-	assertMonotone(t, tl)
-
-	r2 := NewRecorder(Config{Every: 100})
-	r2.AttachMachine()
-	tl2 := r2.Finish(Sample{At: 70, Snap: snap("b", 4)})
-	cat := Concat(tl, tl2)
-	if len(cat.Intervals) != 3 {
-		t.Fatalf("concat: %d intervals, want 3", len(cat.Intervals))
+	want := []int{0, 0, 1, 2, 2}
+	for i, iv := range cat.Intervals {
+		if iv.Epoch != want[i] {
+			t.Errorf("interval %d (cycle %d): epoch %d, want %d", i, iv.Cycle, iv.Epoch, want[i])
+		}
 	}
-	if e := cat.Intervals[2].Epoch; e != 2 {
-		t.Errorf("concat renumbered second timeline to epoch %d, want 2", e)
+	if cat.Every != 100 || cat.Dropped != 0 {
+		t.Errorf("concat every/dropped = %d/%d, want 100/0", cat.Every, cat.Dropped)
 	}
 	if cat.Totals.Counters["a"] != 5 || cat.Totals.Counters["b"] != 4 {
-		t.Errorf("concat totals = %v", cat.Totals.Counters)
+		t.Errorf("concat totals = %v, want a=5 b=4", cat.Totals.Counters)
 	}
 	assertReconciles(t, cat)
+	assertMonotone(t, cat)
 }
 
 // TestBucketQuantiles: quantiles come from the interval's bucket deltas, not
@@ -207,7 +201,6 @@ func TestBucketQuantiles(t *testing.T) {
 		return metrics.HistogramValue{Count: count, Sum: sum, Buckets: buckets}
 	}
 	r := NewRecorder(Config{Every: 100})
-	r.AttachMachine()
 	prev := metrics.NewSnapshot()
 	prev.Histograms["lat"] = mkHist(100, 1000, metrics.Bucket{Le: 1023, Count: 100})
 	r.Record(Sample{At: 100, Snap: prev})
@@ -247,7 +240,6 @@ func TestBucketQuantiles(t *testing.T) {
 func TestOnSampleStreams(t *testing.T) {
 	var got []uint64
 	r := NewRecorder(Config{Every: 100, OnSample: func(iv Interval) { got = append(got, iv.Cycle) }})
-	r.AttachMachine()
 	r.Record(Sample{At: 100, Snap: snap("a", 1)})
 	r.Finish(Sample{At: 200, Snap: snap("a", 2)})
 	if len(got) != 2 || got[0] != 100 || got[1] != 200 {

@@ -19,7 +19,6 @@ const (
 	Mode     Category = iota // buffered-mode entry/exit, revocation
 	Sched                    // context switches, gang ticks
 	Overflow                 // overflow-control trips and releases
-	Message                  // per-message events (very verbose)
 	Span                     // message-lifecycle span events (very verbose)
 	numCategories
 )
@@ -32,8 +31,6 @@ func (c Category) String() string {
 		return "sched"
 	case Overflow:
 		return "overflow"
-	case Message:
-		return "message"
 	case Span:
 		return "span"
 	default:

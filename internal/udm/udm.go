@@ -50,15 +50,6 @@ type Env struct {
 	inHandler bool
 }
 
-// Node returns the local node index.
-func (e *Env) Node() int { return e.EP.Node() }
-
-// Nodes returns the machine size.
-func (e *Env) Nodes() int { return e.EP.p.Kernel().Machine().Net.Nodes() }
-
-// InHandler reports whether this environment is executing a message handler.
-func (e *Env) InHandler() bool { return e.inHandler }
-
 // EP is a process's UDM endpoint: the user-level runtime bound to one
 // glaze process on one node.
 type EP struct {

@@ -95,7 +95,6 @@ type Space struct {
 	frames *Frames
 	pages  map[uint64]*page
 
-	faults    uint64 // demand allocations served
 	denied    uint64 // allocations refused for lack of frames
 	highWater int    // max pages simultaneously mapped in this space
 }
@@ -117,9 +116,6 @@ func (s *Space) PagesMapped() int { return len(s.pages) }
 // HighWater returns the lifetime maximum of PagesMapped.
 func (s *Space) HighWater() int { return s.highWater }
 
-// Faults returns how many demand allocations this space has taken.
-func (s *Space) Faults() uint64 { return s.faults }
-
 // Denied returns how many allocations failed for lack of physical frames.
 func (s *Space) Denied() uint64 { return s.denied }
 
@@ -137,7 +133,6 @@ func (s *Space) Ensure(addr uint64) (faulted, ok bool) {
 		return true, false
 	}
 	s.pages[vp] = &page{words: make([]uint64, PageWords)}
-	s.faults++
 	if len(s.pages) > s.highWater {
 		s.highWater = len(s.pages)
 	}
