@@ -179,7 +179,6 @@ func benchName(prefix string, n int) string {
 // unprotected kernel-mode messaging bounds the gain.
 func BenchmarkAblationAtomicity(b *testing.B) {
 	for _, impl := range []glaze.AtomicityImpl{glaze.KernelMode, glaze.HardAtomicity, glaze.SoftAtomicity} {
-		impl := impl
 		b.Run(impl.String(), func(b *testing.B) {
 			var runtime uint64
 			for i := 0; i < b.N; i++ {
@@ -206,7 +205,6 @@ func BenchmarkAblationAtomicity(b *testing.B) {
 // 232-cycle path on every message.
 func BenchmarkAblationOneCase(b *testing.B) {
 	for _, oneCase := range []bool{false, true} {
-		oneCase := oneCase
 		name := "two-case"
 		if oneCase {
 			name = "one-case"
@@ -272,7 +270,6 @@ func BenchmarkAblationVirtualBuffering(b *testing.B) {
 		return job.Process(1).BufferPagesHighWater()
 	}
 	for _, pinned := range []bool{false, true} {
-		pinned := pinned
 		name := "virtual"
 		if pinned {
 			name = "pinned"

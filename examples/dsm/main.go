@@ -36,7 +36,6 @@ func main() {
 	// One region per strip; region id = owner node.
 	final := make([]float64, cells)
 	for node := 0; node < nodes; node++ {
-		node := node
 		c := crls[node]
 		bar := apps.NewBarrier(eps[node], nodes)
 		job.Process(node).StartMain(func(t *fugu.Task) {

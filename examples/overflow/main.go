@@ -60,7 +60,7 @@ func main() {
 
 	fmt.Printf("delivered %d/%d messages, in order: %v\n", delivered, n, inOrder)
 	fmt.Printf("sender observed overflow throttling: %v\n", throttleSeen)
-	fmt.Printf("overflow-control trips at consumer: %d\n", m.Nodes[1].Kernel.OverflowTrips)
+	fmt.Printf("overflow-control trips at consumer: %d\n", m.Nodes[1].Metrics.Counter("glaze.overflow.trips").Value())
 	fmt.Printf("frame pool high water: %d of %d frames (bounded by virtual buffering)\n",
 		m.Nodes[1].Frames.HighWater(), frames)
 	fmt.Printf("max buffer pages at consumer: %d\n", job.Process(1).BufferPagesHighWater())

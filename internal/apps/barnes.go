@@ -100,7 +100,6 @@ func (b *Barnes) Start(m *glaze.Machine, job *glaze.Job) {
 		b.nodes[i] = crl.New(rig.EPs[i], nn)
 	}
 	for node := 0; node < nn; node++ {
-		node := node
 		bar := NewBarrier(rig.EPs[node], nn)
 		job.Process(node).StartMain(func(t *cpu.Task) {
 			b.main(t, node, nn, per, bar)

@@ -51,7 +51,6 @@ func (b *BarrierApp) Start(m *glaze.Machine, job *glaze.Job) {
 	n := r.Nodes()
 	b.completed = make([]int, n)
 	for node := 0; node < n; node++ {
-		node := node
 		bar := NewBarrier(r.EPs[node], n)
 		job.Process(node).StartMain(func(t *cpu.Task) {
 			for i := 0; i < b.Iterations; i++ {

@@ -78,7 +78,6 @@ func (l *LU) Start(m *glaze.Machine, job *glaze.Job) {
 		l.nodes[i] = crl.New(l.rig.EPs[i], n)
 	}
 	for node := 0; node < n; node++ {
-		node := node
 		bar := NewBarrier(l.rig.EPs[node], n)
 		job.Process(node).StartMain(func(t *cpu.Task) { l.main(t, node, n, bar) })
 	}

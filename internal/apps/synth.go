@@ -55,7 +55,6 @@ func (s *Synth) Start(m *glaze.Machine, job *glaze.Job) {
 	s.received = make([]uint64, n)
 	acks := make([]*udm.Counter, n)
 	for node := 0; node < n; node++ {
-		node := node
 		acks[node] = udm.NewCounter()
 		ep := r.EPs[node]
 		ep.On(hSynthReq, func(e *udm.Env, msg *udm.Msg) {

@@ -82,7 +82,6 @@ func (w *Water) Start(m *glaze.Machine, job *glaze.Job) {
 		w.nodes[i] = crl.New(rig.EPs[i], nn)
 	}
 	for node := 0; node < nn; node++ {
-		node := node
 		bar := NewBarrier(rig.EPs[node], nn)
 		job.Process(node).StartMain(func(t *cpu.Task) {
 			w.main(t, node, nn, per, bar)

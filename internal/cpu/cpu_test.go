@@ -269,7 +269,6 @@ func TestWaitQFIFOAndWakeAll(t *testing.T) {
 	q := NewWaitQ("q")
 	var order []int
 	for i := 0; i < 3; i++ {
-		i := i
 		c.NewTask("w", PrioUser, DomainUser, func(tk *Task) {
 			q.Wait(tk)
 			order = append(order, i)
@@ -363,7 +362,6 @@ func TestManyTasksDeterministic(t *testing.T) {
 		c := New(e, "cpu0")
 		var order []string
 		for i := 0; i < 20; i++ {
-			i := i
 			c.NewTask("t", PrioUser, DomainUser, func(tk *Task) {
 				tk.Spend(uint64(e.Rand().Uint64n(50) + 1))
 				order = append(order, string(rune('a'+i)))

@@ -264,7 +264,6 @@ func TestConcurrentIncrements(t *testing.T) {
 		c.EndRead(tk, rg)
 	})
 	for node := 1; node < 4; node++ {
-		node := node
 		r.job.Process(node).StartMain(func(tk *cpu.Task) {
 			tk.Spend(5_000)
 			c := r.crl[node]

@@ -56,7 +56,6 @@ func TestCoherenceStressProperty(t *testing.T) {
 			}
 		})
 		for node := 1; node < 4; node++ {
-			node := node
 			job.Process(node).StartMain(func(tk *cpu.Task) {
 				c := crls[node]
 				rgs := make([]*Region, regions)
@@ -135,7 +134,6 @@ func TestManyReadersOneWriter(t *testing.T) {
 	seen := make([][]uint64, n)
 	phase := make([]*udm.Counter, n)
 	for i := range phase {
-		i := i
 		phase[i] = udm.NewCounter()
 		eps[i].On(900, func(e *udm.Env, msg *udm.Msg) { phase[i].Add(1) })
 	}
@@ -159,7 +157,6 @@ func TestManyReadersOneWriter(t *testing.T) {
 		}
 	})
 	for node := 1; node < n; node++ {
-		node := node
 		seen[node] = nil
 		job.Process(node).StartMain(func(tk *cpu.Task) {
 			c := crls[node]

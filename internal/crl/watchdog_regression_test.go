@@ -74,7 +74,6 @@ func runStressMachine(t *testing.T, seed uint64, ops int) (uint64, *glaze.Machin
 		}
 	})
 	for node := 1; node < 4; node++ {
-		node := node
 		job.Process(node).StartMain(func(tk *cpu.Task) {
 			c := crls[node]
 			rgs := make([]*Region, regions)

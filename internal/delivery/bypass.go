@@ -54,9 +54,8 @@ func (b BypassRing) NewStore(frames *vm.Frames, p Params) Store {
 		slotWords = 128
 	}
 	s := &ringStore{
-		space:     vm.NewSpace(frames),
+		queue:     queue{space: vm.NewSpace(frames)},
 		costs:     p.Costs,
-		pages:     pages,
 		slotWords: slotWords,
 		slots:     pages * vm.PageWords / slotWords,
 	}
@@ -71,21 +70,13 @@ func (b BypassRing) NewStore(frames *vm.Frames, p Params) Store {
 // ringStore is one process's descriptor ring: slots*slotWords words across
 // statically pinned pages, FIFO by slot index.
 type ringStore struct {
-	space     *vm.Space
+	queue
 	costs     Costs
-	pages     int
 	slotWords int
 	slots     int
 
 	head     int // slot index of the next unread message
-	count    int // messages resident
 	reserved int // slots promised by Admit but not yet Pushed
-
-	meta []MsgMeta
-
-	inserted   uint64
-	refused    uint64 // admissions refused (ring full or message oversized)
-	maxPending int
 }
 
 // Admit implements Store: the NI's admission check. A message too large for
@@ -94,12 +85,7 @@ type ringStore struct {
 // the NI input queue behind other admitted packets cannot oversubscribe the
 // ring.
 func (s *ringStore) Admit(nwords int) bool {
-	if nwords+1 > s.slotWords {
-		s.refused++
-		return false
-	}
-	if s.count+s.reserved >= s.slots {
-		s.refused++
+	if nwords+1 > s.slotWords || s.Pending()+s.reserved >= s.slots {
 		return false
 	}
 	s.reserved++
@@ -108,24 +94,19 @@ func (s *ringStore) Admit(nwords int) bool {
 
 // Push implements Store, consuming the reservation its Admit took.
 func (s *ringStore) Push(id uint64, words []uint64, sentAt, now uint64) PushResult {
-	if s.count >= s.slots {
+	if s.Pending() >= s.slots {
 		panic("delivery: push to full bypass ring")
 	}
 	if s.reserved > 0 {
 		s.reserved--
 	}
-	slot := (s.head + s.count) % s.slots
+	slot := (s.head + s.Pending()) % s.slots
 	base := uint64(slot * s.slotWords)
 	s.space.Write(base, uint64(len(words)))
 	for i, w := range words {
 		s.space.Write(base+1+uint64(i), w)
 	}
-	s.count++
-	s.inserted++
-	s.meta = append(s.meta, MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
-	if s.count > s.maxPending {
-		s.maxPending = s.count
-	}
+	s.push(MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
 	return PushResult{}
 }
 
@@ -136,22 +117,10 @@ func (s *ringStore) InsertCost(r PushResult) uint64 { return 0 }
 // Pop implements Store: advancing the ring head is a register write; the
 // extract costs are charged by the caller.
 func (s *ringStore) Pop() (MsgMeta, uint64) {
-	if s.count == 0 {
-		panic("delivery: pop from empty bypass ring")
-	}
-	meta := s.meta[0]
-	copy(s.meta, s.meta[1:])
-	s.meta = s.meta[:len(s.meta)-1]
+	meta := s.pop()
 	s.head = (s.head + 1) % s.slots
-	s.count--
 	return meta, 0
 }
-
-// Empty implements Store.
-func (s *ringStore) Empty() bool { return s.count == 0 }
-
-// Pending implements Store.
-func (s *ringStore) Pending() int { return s.count }
 
 // HeadLen implements Store.
 func (s *ringStore) HeadLen() int {
@@ -162,47 +131,3 @@ func (s *ringStore) HeadLen() int {
 func (s *ringStore) HeadWord(i int) uint64 {
 	return s.space.Read(uint64(s.head*s.slotWords) + 1 + uint64(i))
 }
-
-// HeadID implements Store.
-func (s *ringStore) HeadID() (uint64, bool) {
-	if len(s.meta) == 0 {
-		return 0, false
-	}
-	return s.meta[0].ID, true
-}
-
-// HeadSentAt implements Store.
-func (s *ringStore) HeadSentAt() (uint64, bool) {
-	if len(s.meta) == 0 {
-		return 0, false
-	}
-	return s.meta[0].SentAt, true
-}
-
-// PendingIDs implements Store.
-func (s *ringStore) PendingIDs() []uint64 {
-	if len(s.meta) == 0 {
-		return nil
-	}
-	ids := make([]uint64, len(s.meta))
-	for i, m := range s.meta {
-		ids[i] = m.ID
-	}
-	return ids
-}
-
-// PagesResident implements Store: the ring is statically pinned.
-func (s *ringStore) PagesResident() int { return s.space.PagesMapped() }
-
-// PagesHighWater implements Store.
-func (s *ringStore) PagesHighWater() int { return s.space.HighWater() }
-
-// VMAllocs implements Store: a static ring never allocates after creation.
-func (s *ringStore) VMAllocs() uint64 { return 0 }
-
-// Refused reports admissions turned away (ring full), each one a NACK and a
-// sender retry (tests and diagnostics; the NI counts these globally too).
-func (s *ringStore) Refused() uint64 { return s.refused }
-
-// MaxPending reports the high water of unconsumed messages (tests).
-func (s *ringStore) MaxPending() int { return s.maxPending }

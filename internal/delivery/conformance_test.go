@@ -43,7 +43,6 @@ func allPolicies(t *testing.T) []Policy {
 // drained store reports empty.
 func TestStoreConformance(t *testing.T) {
 	for _, pol := range allPolicies(t) {
-		pol := pol
 		t.Run(pol.Name(), func(t *testing.T) {
 			frames := vm.NewFrames(64)
 			st := pol.NewStore(frames, Params{Costs: confCosts})
@@ -84,11 +83,8 @@ func TestStoreConformance(t *testing.T) {
 				if st.Empty() {
 					t.Fatalf("Empty before popping msg %d", i)
 				}
-				if id, ok := st.HeadID(); !ok || id != uint64(100+i) {
-					t.Fatalf("HeadID = %d,%v, want %d", id, ok, 100+i)
-				}
-				if sa, ok := st.HeadSentAt(); !ok || sa != uint64(10*i) {
-					t.Fatalf("HeadSentAt = %d,%v, want %d", sa, ok, 10*i)
+				if h, ok := st.Head(); !ok || h.ID != uint64(100+i) || h.SentAt != uint64(10*i) {
+					t.Fatalf("Head = %+v,%v, want ID %d SentAt %d", h, ok, 100+i, 10*i)
 				}
 				if got := st.HeadLen(); got != len(want[i]) {
 					t.Fatalf("msg %d: HeadLen = %d, want %d", i, got, len(want[i]))
@@ -106,8 +102,8 @@ func TestStoreConformance(t *testing.T) {
 			if !st.Empty() || st.Pending() != 0 {
 				t.Fatalf("store not empty after draining: Pending = %d", st.Pending())
 			}
-			if _, ok := st.HeadID(); ok {
-				t.Fatal("HeadID ok on an empty store")
+			if _, ok := st.Head(); ok {
+				t.Fatal("Head ok on an empty store")
 			}
 			if hw := st.PagesHighWater(); hw < st.PagesResident() {
 				t.Fatalf("high water %d below resident %d", hw, st.PagesResident())
@@ -122,7 +118,6 @@ func TestStoreConformance(t *testing.T) {
 // lifetime — that fixed cost is exactly what the policy lab measures.
 func TestStoreResidencyAfterDrain(t *testing.T) {
 	for _, pol := range allPolicies(t) {
-		pol := pol
 		t.Run(pol.Name(), func(t *testing.T) {
 			frames := vm.NewFrames(64)
 			st := pol.NewStore(frames, Params{Costs: confCosts})

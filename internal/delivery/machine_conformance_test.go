@@ -58,7 +58,6 @@ func runConformanceWorkload(t *testing.T, pol delivery.Policy) (*glaze.Machine, 
 		})
 	}
 	for n := 0; n < confNodes; n++ {
-		n := n
 		job.Process(n).StartMain(func(tk *cpu.Task) {
 			e := eps[n].Env(tk)
 			for i := 0; i < confSends; i++ {
@@ -82,7 +81,6 @@ func runConformanceWorkload(t *testing.T, pol delivery.Policy) (*glaze.Machine, 
 
 func TestMachineConformance(t *testing.T) {
 	for _, name := range delivery.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			pol, err := delivery.ByName(name)
 			if err != nil {
@@ -192,7 +190,6 @@ func TestMachineConformanceDeterminism(t *testing.T) {
 		t.Skip("repeat runs")
 	}
 	for _, name := range delivery.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			pol, _ := delivery.ByName(name)
 			m1, _, _, _ := runConformanceWorkload(t, pol)

@@ -82,21 +82,19 @@ type Store interface {
 	Empty() bool
 	// Pending reports messages pushed and not yet popped.
 	Pending() int
+	// Head returns the head message's metadata, false if the store is empty.
+	Head() (MsgMeta, bool)
 	// HeadLen and HeadWord read the head message (length in words, word i).
 	HeadLen() int
 	HeadWord(i int) uint64
-	HeadID() (uint64, bool)
-	HeadSentAt() (uint64, bool)
 	// PendingIDs lists unconsumed message IDs in order (diagnostics).
 	PendingIDs() []uint64
 
 	// PagesResident and PagesHighWater report physical pages currently and
 	// maximally consumed by the store — the memory-footprint axis of the
-	// policy comparison. VMAllocs counts pushes that demand-allocated (for
-	// the virtual buffer) or fell back to a copy (for zero-copy).
+	// policy comparison.
 	PagesResident() int
 	PagesHighWater() int
-	VMAllocs() uint64
 }
 
 // Policy is one receive-side delivery organization. A Policy is stateless

@@ -37,35 +37,25 @@ func (TwoCase) NewStore(frames *vm.Frames, p Params) Store {
 // absolute frame exhaustion — paged out to backing store over the OS network
 // so delivery stays guaranteed.
 type VirtualBuffer struct {
-	space *vm.Space
+	queue
 	costs Costs
 	head  uint64 // word address of the next unread message's length word
 	tail  uint64 // word address where the next message will be written
-	count int    // messages resident (pushed, not yet fully consumed)
 
 	// Backing store ("swap"): contents of paged-out buffer pages, keyed by
 	// virtual page number. Reached via the second logical network.
 	swap map[uint64][]uint64
 
-	// meta tracks per-message timestamps in insertion order, parallel to the
-	// buffered records. It is simulator bookkeeping (latency and residency
-	// instrumentation), not simulated memory: it consumes no frames and never
-	// pages, so recording it cannot perturb experiment results.
-	meta []MsgMeta
-
 	noReclaim bool // pinned-buffer ablation: never release pages
 
-	inserted   uint64 // lifetime pushes
-	vmallocs   uint64 // pushes that demand-allocated at least one page
-	pageOuts   uint64
-	pageIns    uint64
-	maxPending int // high water of resident (unconsumed) messages
+	pageOuts uint64
+	pageIns  uint64
 }
 
 // NewVirtualBuffer builds an empty buffer over the node's frame pool.
 func NewVirtualBuffer(frames *vm.Frames) *VirtualBuffer {
 	return &VirtualBuffer{
-		space: vm.NewSpace(frames),
+		queue: queue{space: vm.NewSpace(frames)},
 		swap:  make(map[uint64][]uint64),
 	}
 }
@@ -91,15 +81,7 @@ func (b *VirtualBuffer) Push(id uint64, words []uint64, sentAt, now uint64) Push
 		b.space.Write(b.tail+1+uint64(i), w)
 	}
 	b.tail += need
-	b.count++
-	b.inserted++
-	b.meta = append(b.meta, MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
-	if res.NewPages > 0 {
-		b.vmallocs++
-	}
-	if b.count > b.maxPending {
-		b.maxPending = b.count
-	}
+	b.push(MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
 	return res
 }
 
@@ -121,8 +103,7 @@ func (b *VirtualBuffer) ensure(addr uint64, res PushResult) PushResult {
 	vp := vm.PageOf(addr)
 	if _, swapped := b.swap[vp]; swapped {
 		// Rare: the tail page itself was evicted. Bring it back.
-		res = b.pageIn(vp, res)
-		return res
+		return b.pageIn(vp, res)
 	}
 	faulted, ok := b.space.Ensure(addr)
 	for !ok {
@@ -135,39 +116,34 @@ func (b *VirtualBuffer) ensure(addr uint64, res PushResult) PushResult {
 	return res
 }
 
-// evictVictim pages out the oldest resident page at or after head that is
-// not the current tail page. Preferring pages closest to the head would
-// evict data about to be read; FUGU's proposal pages out to clear space for
-// the *insert* path, so we take the page just after the reader's current
-// page — it will be needed latest among full pages... in practice the
-// buffer spans few pages and any victim works; we choose the lowest-numbered
-// resident page that is not the head page and not the tail page, falling
-// back to the head page.
+// evictVictim pages out one page to make room on the insert path: the
+// lowest resident page after the reader's and before the tail's, sparing
+// the page being read, else the reader's page itself.
 func (b *VirtualBuffer) evictVictim(res PushResult) PushResult {
-	headVp := vm.PageOf(b.head)
-	tailVp := vm.PageOf(b.tail)
-	for vp := headVp; vp <= tailVp; vp++ {
-		if vp == tailVp {
-			break
-		}
-		if vp == headVp && headVp+1 <= tailVp {
-			continue // prefer not to evict the page being read
-		}
-		if words := b.space.Evict(vp * vm.PageWords); words != nil {
-			b.swap[vp] = words
-			b.pageOuts++
+	headVp, tailVp := vm.PageOf(b.head), vm.PageOf(b.tail)
+	for vp := headVp + 1; vp < tailVp; vp++ {
+		if b.pageOut(vp) {
 			res.PagedOut++
 			return res
 		}
 	}
-	// Fall back to the head page itself.
-	if words := b.space.Evict(headVp * vm.PageWords); words != nil {
-		b.swap[headVp] = words
-		b.pageOuts++
+	if b.pageOut(headVp) {
 		res.PagedOut++
 		return res
 	}
 	panic("delivery: buffer has no evictable page but pool is exhausted")
+}
+
+// pageOut moves page vp to backing store, reporting false if it was not
+// resident.
+func (b *VirtualBuffer) pageOut(vp uint64) bool {
+	words := b.space.Evict(vp * vm.PageWords)
+	if words == nil {
+		return false
+	}
+	b.swap[vp] = words
+	b.pageOuts++
+	return true
 }
 
 // pageIn restores a swapped page, evicting something else if necessary.
@@ -180,12 +156,6 @@ func (b *VirtualBuffer) pageIn(vp uint64, res PushResult) PushResult {
 	b.pageIns++
 	return res
 }
-
-// Empty implements Store.
-func (b *VirtualBuffer) Empty() bool { return b.count == 0 }
-
-// Pending implements Store.
-func (b *VirtualBuffer) Pending() int { return b.count }
 
 // HeadLen returns the length of the message at the head, restoring its page
 // from swap if it was paged out.
@@ -201,43 +171,12 @@ func (b *VirtualBuffer) HeadWord(i int) uint64 {
 	return b.space.Read(addr)
 }
 
-// touch makes addr resident, returning how many pages were paged in.
-func (b *VirtualBuffer) touch(addr uint64) int {
+// touch makes addr resident, restoring its page from swap if needed.
+func (b *VirtualBuffer) touch(addr uint64) {
 	vp := vm.PageOf(addr)
-	if _, swapped := b.swap[vp]; !swapped {
-		return 0
+	if _, swapped := b.swap[vp]; swapped {
+		b.pageIn(vp, PushResult{})
 	}
-	res := b.pageIn(vp, PushResult{})
-	return 1 + res.PagedOut // paging in may itself have evicted
-}
-
-// HeadID returns the packet ID of the head message, false if empty.
-func (b *VirtualBuffer) HeadID() (uint64, bool) {
-	if len(b.meta) == 0 {
-		return 0, false
-	}
-	return b.meta[0].ID, true
-}
-
-// PendingIDs lists the packet IDs of the unconsumed buffered messages, in
-// insertion order (diagnostics).
-func (b *VirtualBuffer) PendingIDs() []uint64 {
-	if len(b.meta) == 0 {
-		return nil
-	}
-	ids := make([]uint64, len(b.meta))
-	for i, m := range b.meta {
-		ids[i] = m.ID
-	}
-	return ids
-}
-
-// HeadSentAt returns the injection time of the head message, false if empty.
-func (b *VirtualBuffer) HeadSentAt() (uint64, bool) {
-	if len(b.meta) == 0 {
-		return 0, false
-	}
-	return b.meta[0].SentAt, true
 }
 
 // Pop consumes the head message, unmapping buffer pages wholly behind the
@@ -245,15 +184,9 @@ func (b *VirtualBuffer) HeadSentAt() (uint64, bool) {
 // consumed message's timestamps for residency accounting; disposal from the
 // buffer charges nothing beyond the extract costs the caller already pays.
 func (b *VirtualBuffer) Pop() (MsgMeta, uint64) {
-	if b.count == 0 {
-		panic("delivery: pop from empty software buffer")
-	}
-	meta := b.meta[0]
-	copy(b.meta, b.meta[1:])
-	b.meta = b.meta[:len(b.meta)-1]
+	meta := b.pop()
 	n := b.HeadLen()
 	b.head += uint64(n) + 1
-	b.count--
 	if b.noReclaim {
 		return meta, 0
 	}
@@ -272,7 +205,7 @@ func (b *VirtualBuffer) Pop() (MsgMeta, uint64) {
 		}
 		vp = prev
 	}
-	if b.count == 0 {
+	if b.Empty() {
 		// Fully drained: release everything, including the page under the
 		// head/tail cursor.
 		b.space.Release()
@@ -283,21 +216,8 @@ func (b *VirtualBuffer) Pop() (MsgMeta, uint64) {
 	return meta, 0
 }
 
-// PagesResident returns physical pages currently consumed by the buffer.
-func (b *VirtualBuffer) PagesResident() int { return b.space.PagesMapped() }
-
-// PagesHighWater returns the most physical pages the buffer ever held —
-// the per-node metric behind the paper's "less than seven pages/node".
-func (b *VirtualBuffer) PagesHighWater() int { return b.space.HighWater() }
-
-// VMAllocs reports how many pushes demand-allocated at least one page.
-func (b *VirtualBuffer) VMAllocs() uint64 { return b.vmallocs }
-
 // PageOuts and PageIns expose the backing-store traffic (tests).
 func (b *VirtualBuffer) PageOuts() uint64 { return b.pageOuts }
 
 // PageIns reports pages restored from backing store.
 func (b *VirtualBuffer) PageIns() uint64 { return b.pageIns }
-
-// MaxPending reports the high water of resident (unconsumed) messages.
-func (b *VirtualBuffer) MaxPending() int { return b.maxPending }

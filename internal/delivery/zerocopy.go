@@ -33,31 +33,29 @@ func (ZeroCopyRemap) HardwareDemux() bool { return false }
 // NewStore implements Policy.
 func (ZeroCopyRemap) NewStore(frames *vm.Frames, p Params) Store {
 	return &remapStore{
-		space: vm.NewSpace(frames),
+		queue: queue{space: vm.NewSpace(frames)},
 		costs: p.Costs,
 	}
 }
 
-// remapEntry is one stored message: either a pinned page flipped into the
-// receiver's space (vp valid) or a kernel copy taken when no frame was free
-// (words valid).
+// remapEntry is where one stored message's words live: a pinned page
+// flipped into the receiver's space (vp valid; the page's first word is the
+// length) or a kernel copy taken when no frame was free (words valid).
 type remapEntry struct {
-	meta     MsgMeta
 	vp       uint64   // virtual page holding the message, if pinned
 	words    []uint64 // fallback copy, if the pool was exhausted
 	fallback bool
-	nwords   int
 }
 
-// remapStore holds messages one-per-pinned-page, FIFO.
+// remapStore holds messages one-per-pinned-page, FIFO. Unlike the other
+// stores it cannot find a message's words from its position in the queue
+// alone, since each one is either on its own page or in a fallback copy, so
+// it keeps entries in step with the queue's meta.
 type remapStore struct {
-	space  *vm.Space
-	costs  Costs
-	queue  []remapEntry
-	nextVp uint64 // next virtual page to flip a message into (never reused)
-
-	fallbacks  uint64 // pushes that copied for lack of a free frame
-	maxPending int
+	queue
+	costs   Costs
+	entries []remapEntry // parallel to meta
+	nextVp  uint64       // next virtual page to flip a message into (never reused)
 }
 
 // Admit implements Store: the copy fallback guarantees delivery, so every
@@ -70,7 +68,6 @@ func (s *remapStore) Push(id uint64, words []uint64, sentAt, now uint64) PushRes
 	if len(words)+1 > vm.PageWords {
 		panic("delivery: zero-copy message larger than a page")
 	}
-	meta := MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now}
 	var res PushResult
 	vp := s.nextVp
 	base := vp * vm.PageWords
@@ -80,19 +77,16 @@ func (s *remapStore) Push(id uint64, words []uint64, sentAt, now uint64) PushRes
 		for i, w := range words {
 			s.space.Write(base+1+uint64(i), w)
 		}
-		s.queue = append(s.queue, remapEntry{meta: meta, vp: vp, nwords: len(words)})
+		s.entries = append(s.entries, remapEntry{vp: vp})
 	} else {
 		// Frame pool exhausted: degrade to a copying insert into statically
 		// allocated kernel memory so delivery still succeeds.
 		cp := make([]uint64, len(words))
 		copy(cp, words)
-		s.queue = append(s.queue, remapEntry{meta: meta, words: cp, fallback: true, nwords: len(words)})
-		s.fallbacks++
+		s.entries = append(s.entries, remapEntry{words: cp, fallback: true})
 		res.Fallback = true
 	}
-	if len(s.queue) > s.maxPending {
-		s.maxPending = len(s.queue)
-	}
+	s.push(MsgMeta{ID: id, SentAt: sentAt, InsertedAt: now})
 	return res
 }
 
@@ -108,76 +102,31 @@ func (s *remapStore) InsertCost(r PushResult) uint64 {
 // Pop implements Store: consuming a pinned message unmaps its page (TLB
 // shootdown), releasing the frame.
 func (s *remapStore) Pop() (MsgMeta, uint64) {
-	if len(s.queue) == 0 {
-		panic("delivery: pop from empty remap store")
-	}
-	e := s.queue[0]
-	copy(s.queue, s.queue[1:])
-	s.queue = s.queue[:len(s.queue)-1]
+	meta := s.pop()
+	e := s.entries[0]
+	copy(s.entries, s.entries[1:])
+	s.entries = s.entries[:len(s.entries)-1]
 	if e.fallback {
-		return e.meta, 0
+		return meta, 0
 	}
 	s.space.Unmap(e.vp * vm.PageWords)
-	return e.meta, s.costs.RemapRelease
+	return meta, s.costs.RemapRelease
 }
-
-// Empty implements Store.
-func (s *remapStore) Empty() bool { return len(s.queue) == 0 }
-
-// Pending implements Store.
-func (s *remapStore) Pending() int { return len(s.queue) }
 
 // HeadLen implements Store.
 func (s *remapStore) HeadLen() int {
-	return s.queue[0].nwords
+	e := &s.entries[0]
+	if e.fallback {
+		return len(e.words)
+	}
+	return int(s.space.Read(e.vp * vm.PageWords))
 }
 
 // HeadWord implements Store.
 func (s *remapStore) HeadWord(i int) uint64 {
-	e := &s.queue[0]
+	e := &s.entries[0]
 	if e.fallback {
 		return e.words[i]
 	}
 	return s.space.Read(e.vp*vm.PageWords + 1 + uint64(i))
 }
-
-// HeadID implements Store.
-func (s *remapStore) HeadID() (uint64, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].meta.ID, true
-}
-
-// HeadSentAt implements Store.
-func (s *remapStore) HeadSentAt() (uint64, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].meta.SentAt, true
-}
-
-// PendingIDs implements Store.
-func (s *remapStore) PendingIDs() []uint64 {
-	if len(s.queue) == 0 {
-		return nil
-	}
-	ids := make([]uint64, len(s.queue))
-	for i := range s.queue {
-		ids[i] = s.queue[i].meta.ID
-	}
-	return ids
-}
-
-// PagesResident implements Store: every pending pinned message is one frame.
-func (s *remapStore) PagesResident() int { return s.space.PagesMapped() }
-
-// PagesHighWater implements Store.
-func (s *remapStore) PagesHighWater() int { return s.space.HighWater() }
-
-// VMAllocs implements Store: for zero-copy it counts copy fallbacks, the
-// events where pinning failed.
-func (s *remapStore) VMAllocs() uint64 { return s.fallbacks }
-
-// MaxPending reports the high water of unconsumed messages (tests).
-func (s *remapStore) MaxPending() int { return s.maxPending }

@@ -22,8 +22,6 @@ type Gang struct {
 	preferred *Job // overflow-control advice: co-schedule this job
 
 	started bool
-	// Statistics.
-	Switches uint64
 
 	// Occupancy instruments: total slot ticks vs ticks that ran the null
 	// slot. scheduled/(scheduled+null) is the gang occupancy fraction.
@@ -67,7 +65,6 @@ func (g *Gang) Start() {
 	g.started = true
 	g.tickFns = make([]func(), g.m.Net.Nodes())
 	for node := 0; node < g.m.Net.Nodes(); node++ {
-		node := node
 		g.idx[node] = -1
 		g.tickFns[node] = func() { g.tick(node) }
 		g.m.Eng.ScheduleSite(siteGang, g.offset(node), g.tickFns[node])
@@ -100,7 +97,6 @@ func (g *Gang) tick(node int) {
 	k.switchTarget = p
 	k.switchValid = true
 	k.gangIRQ.Raise()
-	g.Switches++
 	g.mTicks.Inc()
 	if p == nil {
 		g.mTicksNull.Inc()

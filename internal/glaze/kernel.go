@@ -60,13 +60,6 @@ type Kernel struct {
 	// fault-plan FrameStarvation window.
 	starvedFrames int
 
-	// Statistics.
-	Inserts        uint64 // buffer insertions performed
-	InsertVMAllocs uint64
-	StrayMessages  uint64 // messages for unknown GIDs (dropped)
-	KernelMsgs     uint64
-	OverflowTrips  uint64
-
 	// Metrics instruments, bound to the node's registry at construction.
 	reg               *metrics.Registry
 	mInserts          *metrics.Counter
@@ -200,7 +193,6 @@ func (k *Kernel) mismatchISR(t *cpu.Task) {
 			return
 		}
 		if nic.HeaderIsKernel(h) {
-			k.KernelMsgs++
 			k.mKernelMsgs.Inc()
 			t.Spend(k.cost.BufferInsertMin) // treat as a short kernel handler
 			k.m.Spans.End(k.m.Eng.Now(), pkt.ID, k.node, spans.TermKernel)
@@ -213,7 +205,6 @@ func (k *Kernel) mismatchISR(t *cpu.Task) {
 			// A message for no process on this node: a protection event.
 			// FUGU notifies the global scheduler about the offender; we
 			// count and drop.
-			k.StrayMessages++
 			k.mStray.Inc()
 			t.Spend(k.cost.BufferInsertMin)
 			k.m.Spans.End(k.m.Eng.Now(), pkt.ID, k.node, spans.TermStray)
@@ -246,13 +237,11 @@ func (k *Kernel) bufferInsert(t *cpu.Task, p *Process, pkt *mesh.Packet) {
 	}
 	res := p.store.Push(pkt.ID, pkt.Words, pkt.SentAt, k.m.Eng.Now())
 	t.Spend(p.store.InsertCost(res))
-	k.Inserts++
 	k.mInserts.Inc()
 	if res.NewPages > 0 || res.Fallback {
 		// A demand allocation on the virtual-buffer path, or a copy taken by
 		// the zero-copy policy with no frame to pin: either way the insert
 		// escaped its cheap case.
-		k.InsertVMAllocs++
 		k.mInsertVMAllocs.Inc()
 	}
 	k.mFramesInUse.Set(int64(k.frames.InUse()))
@@ -608,7 +597,6 @@ func (k *Kernel) checkOverflow(t *cpu.Task, p *Process) {
 	if float64(k.frames.InUse()) < overflowHighFrac*float64(k.frames.Total()) {
 		return
 	}
-	k.OverflowTrips++
 	k.mOverflowTrips.Inc()
 	k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Overflow, "trip %s: %d/%d frames",
 		p.job.name, k.frames.InUse(), k.frames.Total())

@@ -163,30 +163,18 @@ func (p *Process) ObserveLatency(fast bool, cycles uint64) {
 	}
 }
 
-// HeadSentAt returns the injection time of the message an extract would
-// read — from the NI's head packet in direct mode, from the buffer metadata
-// in buffered mode. ok is false with no message pending.
-func (p *Process) HeadSentAt() (at uint64, ok bool) {
+// Head returns the packet ID and injection time of the message an extract
+// would read — the NI's head packet in direct mode, the store's head in
+// buffered mode. ok is false with no message pending.
+func (p *Process) Head() (id, sentAt uint64, ok bool) {
 	if p.buffered || p.kern.hwDemux {
-		return p.store.HeadSentAt()
+		m, ok := p.store.Head()
+		return m.ID, m.SentAt, ok
 	}
 	if pkt := p.kern.ni.HeadPacket(); pkt != nil {
-		return pkt.SentAt, true
+		return pkt.ID, pkt.SentAt, true
 	}
-	return 0, false
-}
-
-// HeadID returns the packet ID of the message an extract would read —
-// the NI head in direct mode, the buffer head in buffered mode. ok is
-// false with no message pending.
-func (p *Process) HeadID() (id uint64, ok bool) {
-	if p.buffered || p.kern.hwDemux {
-		return p.store.HeadID()
-	}
-	if pkt := p.kern.ni.HeadPacket(); pkt != nil {
-		return pkt.ID, true
-	}
-	return 0, false
+	return 0, 0, false
 }
 
 // Buffered reports whether the process is in software-buffered mode.
@@ -205,10 +193,6 @@ func (p *Process) Store() delivery.Store { return p.store }
 // UpcallConsumed reports total cycles spent by the message-handling
 // activity (upcalls and buffered drains).
 func (p *Process) UpcallConsumed() uint64 { return p.upcall.Consumed() }
-
-// BufferVMAllocs reports how many inserts escaped the cheap case: demand
-// page allocations for the virtual buffer, copy fallbacks for zero-copy.
-func (p *Process) BufferVMAllocs() uint64 { return p.store.VMAllocs() }
 
 // StartMain creates the application's main user thread. It begins suspended
 // and runs only while the gang scheduler has the process resident.

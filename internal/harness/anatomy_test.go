@@ -26,7 +26,6 @@ func TestDwellConservationProperty(t *testing.T) {
 		t.Skip("property sweep skipped in -short mode")
 	}
 	for _, polName := range delivery.Names() {
-		polName := polName
 		t.Run(polName, func(t *testing.T) {
 			pol, err := delivery.ByName(polName)
 			if err != nil {

@@ -91,7 +91,6 @@ func crlStressExperiment() *Experiment {
 		Points: func(Options) []Point {
 			pts := make([]Point, len(crlStressOpsSweep))
 			for i, ops := range crlStressOpsSweep {
-				ops := ops
 				pts[i] = Point{
 					Label: fmt.Sprintf("ops=%d", ops),
 					Run: func(_ context.Context, opt Options) (any, error) {

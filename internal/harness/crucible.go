@@ -227,7 +227,6 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 		})
 	}
 	for n := 0; n < nodes; n++ {
-		n := n
 		job.Process(n).StartMain(func(tk *cpu.Task) {
 			e := eps[n].Env(tk)
 			for pg := 0; pg < preTouchPages; pg++ {

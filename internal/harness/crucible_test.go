@@ -42,7 +42,6 @@ func TestCruciblePolicySweep(t *testing.T) {
 	}
 	exp, _ := Lookup("crucible")
 	for _, name := range delivery.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			pol, err := delivery.ByName(name)
 			if err != nil {

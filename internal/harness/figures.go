@@ -44,12 +44,9 @@ func fig7and8Experiment() *Experiment {
 			skews := Fig7Skews(opt.Quick)
 			var pts []Point
 			for _, mk := range AppMakers(opt.Quick) {
-				mk := mk
 				name := mk().Name()
 				for _, skew := range skews {
-					skew := skew
 					for trial := 0; trial < opt.trials(); trial++ {
-						trial := trial
 						pts = append(pts, Point{
 							Label: fmt.Sprintf("%s skew=%.1f%% trial=%d", name, skew*100, trial),
 							Run: func(_ context.Context, opt Options) (any, error) {

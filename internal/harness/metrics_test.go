@@ -59,7 +59,6 @@ func TestSweepMetricsSerialParallelIdentical(t *testing.T) {
 	exp := statsExperiment(6)
 	merged := map[int]metrics.Snapshot{}
 	for _, workers := range []int{1, 8} {
-		workers := workers
 		calls := 0
 		r := &Runner{OnMetrics: func(s metrics.Snapshot) { calls++; merged[workers] = s }}
 		if _, err := r.Run(context.Background(), exp, WithParallelism(workers)); err != nil {

@@ -39,7 +39,6 @@ func TestRunnerResultOrderIndependentOfWorkerCount(t *testing.T) {
 	const n = 40
 	points := make([]Point, n)
 	for i := range points {
-		i := i
 		points[i] = Point{
 			Label: fmt.Sprintf("p%d", i),
 			Run: func(context.Context, Options) (any, error) {
@@ -110,7 +109,6 @@ func TestRunnerPanicIsIsolated(t *testing.T) {
 	const n = 12
 	points := make([]Point, n)
 	for i := range points {
-		i := i
 		points[i] = Point{
 			Label: fmt.Sprintf("p%d", i),
 			Run: func(context.Context, Options) (any, error) {
@@ -142,7 +140,6 @@ func TestRunnerProcPanicIsIsolated(t *testing.T) {
 	const n = 6
 	points := make([]Point, n)
 	for i := range points {
-		i := i
 		points[i] = Point{
 			Label: fmt.Sprintf("p%d", i),
 			Run: func(context.Context, Options) (any, error) {
@@ -197,7 +194,6 @@ func TestRunnerProgressCallback(t *testing.T) {
 	const n = 10
 	points := make([]Point, n)
 	for i := range points {
-		i := i
 		points[i] = Point{
 			Label: fmt.Sprintf("p%d", i),
 			Run:   func(context.Context, Options) (any, error) { return i, nil },

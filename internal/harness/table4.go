@@ -62,7 +62,6 @@ func table4Experiment() *Experiment {
 		Points: func(Options) []Point {
 			pts := make([]Point, len(table4Impls))
 			for i, im := range table4Impls {
-				im := im
 				pts[i] = Point{
 					Label: "impl=" + im.String(),
 					Run: func(_ context.Context, opt Options) (any, error) {
@@ -115,68 +114,26 @@ func table4Rows() Table4Result {
 	}}
 }
 
-// measureNullMessage times the receive path end to end on a two-node
-// machine, subtracting the send cost and wire latency so the residual is
-// the receive overhead the table reports.
+// measureNullMessage measures one implementation's interrupt and polling
+// receive paths. In the spliced timeline the polling machine is epoch 0 and
+// the interrupt machine epoch 1.
 func measureNullMessage(impl glaze.AtomicityImpl, opt Options) table4Point {
-	var snaps []metrics.Snapshot
-	var tls []telemetry.Timeline
-	run := func(polling bool) uint64 {
-		cfg := glaze.DefaultConfig()
-		cfg.W, cfg.H = 2, 1
-		cfg.Cost = glaze.Costs(impl)
-		opt.machineMut(nil)(&cfg)
-		m := glaze.NewMachine(cfg)
-		job := m.NewJob("pingpong")
-		ep0 := udm.Attach(job.Process(0))
-		ep1 := udm.Attach(job.Process(1))
-		var handlerDone uint64
-		done := udm.NewCounter()
-		ep1.On(1, func(e *udm.Env, msg *udm.Msg) {})
-		ep0.On(1, func(e *udm.Env, msg *udm.Msg) {})
-		_ = ep0
-		var sentAt uint64
-		job.Process(1).StartMain(func(t *cpu.Task) {
-			e := ep1.Env(t)
-			if polling {
-				e.BeginAtomic()
-				e.PollWait()
-				e.EndAtomic()
-			}
-			handlerDone = t.Now()
-			done.Add(1)
-		})
-		job.Process(0).StartMain(func(t *cpu.Task) {
-			e := ep0.Env(t)
-			t.Spend(100) // let the receiver reach its wait state
-			sentAt = t.Now()
-			e.Inject(1, 1)
-			done.WaitFor(t, 1)
-		})
-		m.NewGang(1<<40, 0, job).Start()
-		m.RunUntilDone(0, job)
-		tls = append(tls, m.FinishTelemetry())
-		snaps = append(snaps, m.MetricsSnapshot())
-		wire := cfg.Latency.Delay(1, 2) // one hop, two words
-		total := handlerDone - sentAt
-		overhead := total - wire - cfg.Cost.SendCost(0)
-		return overhead
-	}
-	// Interrupt path: the receiver main simply finishes after the upcall
-	// runs; measure via a handler-completion timestamp instead.
-	intr, intrSnap, intrTL := measureInterrupt(impl, opt)
-	poll := run(true)
-	snaps = append(snaps, intrSnap)
-	tls = append(tls, intrTL)
+	intr, intrSnap, intrTL := measure(impl, opt, false)
+	poll, pollSnap, pollTL := measure(impl, opt, true)
 	return table4Point{
 		intr: intr, poll: poll,
-		metrics:  metrics.Merge(snaps...),
-		timeline: telemetry.Concat(tls...),
+		metrics:  metrics.Merge(pollSnap, intrSnap),
+		timeline: telemetry.Concat(pollTL, intrTL),
 	}
 }
 
-// measureInterrupt times interrupt delivery: handler-entry minus arrival.
-func measureInterrupt(impl glaze.AtomicityImpl, opt Options) (uint64, metrics.Snapshot, telemetry.Timeline) {
+// measure times one null message's receive path end to end on a two-node
+// machine — receiver done minus send, less the send cost and wire latency —
+// so the residual is the receive overhead the table reports. With polling
+// the receiver polls inside an atomic section; otherwise the message
+// arrives by user-level interrupt and the receiver's main wakes on the
+// handler's counter.
+func measure(impl glaze.AtomicityImpl, opt Options, polling bool) (uint64, metrics.Snapshot, telemetry.Timeline) {
 	cfg := glaze.DefaultConfig()
 	cfg.W, cfg.H = 2, 1
 	cfg.Cost = glaze.Costs(impl)
@@ -185,27 +142,40 @@ func measureInterrupt(impl glaze.AtomicityImpl, opt Options) (uint64, metrics.Sn
 	job := m.NewJob("pingpong")
 	ep0 := udm.Attach(job.Process(0))
 	ep1 := udm.Attach(job.Process(1))
-	var handlerEnd uint64
+	var sentAt, doneAt uint64
 	done := udm.NewCounter()
-	ep1.On(1, func(e *udm.Env, msg *udm.Msg) { done.Add(1) })
-	var sentAt uint64
-	job.Process(1).StartMain(func(t *cpu.Task) {
-		done.WaitFor(t, 1)
-		handlerEnd = t.Now()
-	})
+	if polling {
+		ep1.On(1, func(e *udm.Env, msg *udm.Msg) {})
+		job.Process(1).StartMain(func(t *cpu.Task) {
+			e := ep1.Env(t)
+			e.BeginAtomic()
+			e.PollWait()
+			e.EndAtomic()
+			doneAt = t.Now()
+			done.Add(1)
+		})
+	} else {
+		ep1.On(1, func(e *udm.Env, msg *udm.Msg) { done.Add(1) })
+		job.Process(1).StartMain(func(t *cpu.Task) {
+			// The upcall's cleanup cycles complete before the main thread
+			// resumes, so doneAt covers the full interrupt receive total.
+			done.WaitFor(t, 1)
+			doneAt = t.Now()
+		})
+	}
 	job.Process(0).StartMain(func(t *cpu.Task) {
 		e := ep0.Env(t)
-		t.Spend(100)
+		t.Spend(100) // let the receiver reach its wait state
 		sentAt = t.Now()
 		e.Inject(1, 1)
+		if polling {
+			done.WaitFor(t, 1)
+		}
 	})
 	m.NewGang(1<<40, 0, job).Start()
 	m.RunUntilDone(0, job)
-	wire := cfg.Latency.Delay(1, 2)
-	// handlerEnd includes the counter wake racing the upcall cleanup; the
-	// cleanup (post) cycles complete before the main thread resumes, so the
-	// residual is the full interrupt receive total.
-	return handlerEnd - sentAt - wire - cfg.Cost.SendCost(0), m.MetricsSnapshot(), m.FinishTelemetry()
+	wire := cfg.Latency.Delay(1, 2) // one hop, two words
+	return doneAt - sentAt - wire - cfg.Cost.SendCost(0), m.MetricsSnapshot(), m.FinishTelemetry()
 }
 
 // Print renders the table with the paper's reference values.

@@ -101,12 +101,15 @@ func table5Measure(mut func(*glaze.Config)) Table5Result {
 
 	cm := m.Cost()
 	tl := m.FinishTelemetry()
+	// Node 1 runs only the flooded receiver and the idle null job, so its
+	// kernel counters are the receiver's.
+	recv := m.Nodes[1].Metrics
 	res := Table5Result{
 		InsertMin:     cm.BufferInsertMin,
 		InsertVMAlloc: cm.BufferInsertVMAlloc,
 		Extract:       cm.BufferedNullHandler,
-		Inserts:       m.Nodes[1].Kernel.Inserts,
-		VMAllocs:      job.Process(1).BufferVMAllocs(),
+		Inserts:       recv.Counter("glaze.buffer.inserts").Value(),
+		VMAllocs:      recv.Counter("glaze.buffer.insert_vmallocs").Value(),
 		Metrics:       m.MetricsSnapshot(),
 		Timeline:      tl,
 	}

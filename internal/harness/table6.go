@@ -41,10 +41,8 @@ func table6Experiment() *Experiment {
 		Points: func(opt Options) []Point {
 			var pts []Point
 			for _, mk := range AppMakers(opt.Quick) {
-				mk := mk
 				name := mk().Name()
 				for trial := 0; trial < opt.trials(); trial++ {
-					trial := trial
 					pts = append(pts, Point{
 						Label: fmt.Sprintf("%s trial=%d", name, trial),
 						Run: func(_ context.Context, opt Options) (any, error) {

@@ -149,13 +149,6 @@ type NI struct {
 	off      Offload
 	demuxing bool
 
-	// Statistics.
-	arrived   uint64
-	refused   uint64
-	launched  uint64
-	disposed  uint64
-	kdisposed uint64
-
 	// Metrics instruments, nil (no-op) unless UseMetrics is called.
 	mArrived   *metrics.Counter
 	mRefused   *metrics.Counter
@@ -187,7 +180,8 @@ func (ni *NI) UseSpans(rec *spans.Recorder) { ni.rec = rec }
 func (ni *NI) UseFaults(inj *faultinject.Injector) { ni.inj = inj }
 
 // UseMetrics binds the NI's instruments into a registry: lifetime counters
-// mirroring Stats ("nic.arrived", ".refused", ".launched", ".disposed",
+// of messages arrived, refused by the input queue, launched, user-disposed
+// and kernel-disposed ("nic.arrived", ".refused", ".launched", ".disposed",
 // ".kdisposed") and a "nic.queue_len" gauge whose Max is the deepest the
 // input queue ever got.
 func (ni *NI) UseMetrics(r *metrics.Registry) {
@@ -270,7 +264,6 @@ func (ni *NI) AttachCPU(c *cpu.CPU) { c.AddRunListener(&ni.timer) }
 // and reserve guarantees.
 func (ni *NI) Arrive(pkt *mesh.Packet) bool {
 	if !ni.q.Admit(pkt.Src, HeaderIsKernel(pkt.Words[0])) {
-		ni.refused++
 		ni.mRefused.Inc()
 		return false
 	}
@@ -280,7 +273,6 @@ func (ni *NI) Arrive(pkt *mesh.Packet) bool {
 		ni.mNacked.Inc()
 		return false
 	}
-	ni.arrived++
 	ni.mArrived.Inc()
 	ni.rec.Queued(ni.eng.Now(), pkt.ID, ni.node)
 	ni.q.Push(pkt)
@@ -360,7 +352,6 @@ func (ni *NI) Dispose() Trap {
 	if !ni.MessageAvailable() {
 		return TrapBadDispose
 	}
-	ni.disposed++
 	ni.mDisposed.Inc()
 	pkt := ni.q.Head()
 	ni.rec.End(ni.eng.Now(), pkt.ID, ni.node, spans.TermFast)
@@ -381,7 +372,6 @@ func (ni *NI) KDispose() {
 	if ni.q.Len() == 0 {
 		panic("nic: KDispose with empty queue")
 	}
-	ni.kdisposed++
 	ni.mKDisposed.Inc()
 	ni.popHead()
 	ni.evaluate()
@@ -540,7 +530,6 @@ func (ni *NI) Launch(kernelPriv bool) Trap {
 	copy(pkt.Words, ni.out)
 	pkt.Words[0] = h
 	ni.out = ni.out[:0]
-	ni.launched++
 	ni.mLaunched.Inc()
 
 	// The output buffer drains at link rate; until then space-available
@@ -661,9 +650,3 @@ func (ni *NI) SetTimerPreset(v uint64) {
 
 // TimerRemaining exposes the countdown for tests and diagnostics.
 func (ni *NI) TimerRemaining() uint64 { return ni.timer.remainingNow() }
-
-// Stats reports lifetime NI counters: messages arrived, refused by a full
-// queue, launched, user-disposed and kernel-disposed.
-func (ni *NI) Stats() (arrived, refused, launched, disposed, kdisposed uint64) {
-	return ni.arrived, ni.refused, ni.launched, ni.disposed, ni.kdisposed
-}

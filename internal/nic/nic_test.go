@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"fugu/internal/mesh"
+	"fugu/internal/metrics"
 	"fugu/internal/sim"
 )
 
@@ -22,7 +23,6 @@ func newRig(t *testing.T, cfg Config) *rig {
 	r := &rig{eng: sim.NewEngine(1)}
 	r.net = mesh.New(r.eng, 2, 1, mesh.DefaultLatency())
 	for i := 0; i < 2; i++ {
-		i := i
 		r.ni[i] = New(r.eng, r.net, i, cfg)
 		r.ni[i].SetInterrupts(Interrupts{
 			MessageAvailable:  func() { r.got[i].avail++; r.last[i].availAt = r.eng.Now() },
@@ -322,6 +322,8 @@ func TestInputQueueBackpressure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InputQueueDepth = 2
 	r := newRig(t, cfg)
+	reg := metrics.NewRegistry()
+	r.ni[1].UseMetrics(reg)
 	r.ni[0].SetGID(3)
 	r.ni[1].SetGID(9) // mismatches pile up; kernel not draining yet
 	r.eng.Spawn("s", func(p *sim.Proc) {
@@ -347,9 +349,13 @@ func TestInputQueueBackpressure(t *testing.T) {
 	if r.ni[1].QueueLen() != 0 || r.net.BlockedAt(1, mesh.Main) != 0 {
 		t.Error("backlog not fully drained")
 	}
-	_, refused, _, _, _ := r.ni[1].Stats()
-	if refused == 0 {
-		t.Error("no refusals counted")
+	// Five messages entered the queue and the kernel disposed all five. The
+	// three that found it full were each refused once: a blocked packet is
+	// re-offered only when KDispose frees a slot, and then it fits.
+	for name, want := range map[string]uint64{"nic.arrived": 5, "nic.kdisposed": 5, "nic.refused": 3} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -180,7 +180,6 @@ func driveOps(spec Spec, sources int, data []byte) error {
 func TestDifferentialRandomSchedules(t *testing.T) {
 	for _, slots := range []int{3, 5, 8} {
 		for _, spec := range allSpecs(slots) {
-			spec := spec
 			t.Run(fmt.Sprintf("%s/%d", spec.Name(), slots), func(t *testing.T) {
 				t.Parallel()
 				cfg := &quick.Config{

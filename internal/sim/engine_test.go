@@ -28,7 +28,6 @@ func TestSameTimeFIFO(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
 		e.Schedule(5, func() { order = append(order, i) })
 	}
 	e.Run()
@@ -61,7 +60,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	var got []int
 	evs := make([]Handle, 20)
 	for i := range evs {
-		i := i
 		evs[i] = e.Schedule(uint64(i+1), func() { got = append(got, i) })
 	}
 	// Cancel every third event before running.

@@ -144,7 +144,6 @@ func TestCondFIFO(t *testing.T) {
 	c := NewCond(e)
 	var order []int
 	for i := 0; i < 3; i++ {
-		i := i
 		e.Spawn("w", func(p *Proc) {
 			p.Sleep(uint64(i + 1)) // stagger arrival order
 			c.Wait(p)

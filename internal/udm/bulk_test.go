@@ -88,7 +88,6 @@ func TestBulkInterleavedTransfers(t *testing.T) {
 	})
 	job.Process(3).StartMain(func(tk *cpu.Task) { done.WaitFor(tk, 6) })
 	for sender := 0; sender < 2; sender++ {
-		sender := sender
 		job.Process(sender).StartMain(func(tk *cpu.Task) {
 			e := eps[sender].Env(tk)
 			for k := 0; k < 3; k++ {

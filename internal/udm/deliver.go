@@ -35,7 +35,7 @@ func (ep *EP) upcall(t *cpu.Task) {
 func (ep *EP) extract(t *cpu.Task, perWordCost uint64) *Msg {
 	p := ep.p
 	fast := !p.Buffered()
-	sentAt, haveSent := p.HeadSentAt()
+	id, sentAt, haveHead := p.Head()
 	n := p.MsgLen()
 	if n < 2 {
 		panic(fmt.Sprintf("udm: malformed message of %d words", n))
@@ -50,8 +50,7 @@ func (ep *EP) extract(t *cpu.Task, perWordCost uint64) *Msg {
 		t.Spend(c)
 	}
 	rec := p.Kernel().Machine().Spans
-	id, haveID := p.HeadID()
-	if rec != nil && haveID {
+	if rec != nil && haveHead {
 		rec.Dispatch(t.Now(), id, m.Handler)
 	}
 	fastDispose := p.Kernel().UserDispose(t, p)
@@ -62,11 +61,11 @@ func (ep *EP) extract(t *cpu.Task, perWordCost uint64) *Msg {
 		// tallied as a fast delivery (the words came off the NI) while the
 		// kernel also booked the insert as a buffered one — tell the span
 		// recorder so reconciliation credits the span to both paths.
-		if rec != nil && haveID {
+		if rec != nil && haveHead {
 			rec.FlipFast(t.Now(), id, p.Node())
 		}
 	}
-	if haveSent {
+	if haveHead {
 		p.ObserveLatency(fast, t.Now()-sentAt)
 	}
 	return m

@@ -75,8 +75,8 @@ func TestStrayGIDMessageDropped(t *testing.T) {
 	m.NewGang(1<<40, 0, job).Start()
 	m.RunUntilDone(0, job)
 	m.Eng.RunUntil(m.Eng.Now() + 100_000)
-	if m.Nodes[1].Kernel.StrayMessages != 1 {
-		t.Errorf("stray messages = %d, want 1", m.Nodes[1].Kernel.StrayMessages)
+	if n := m.Nodes[1].Metrics.Counter("glaze.stray_messages").Value(); n != 1 {
+		t.Errorf("stray messages = %d, want 1", n)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestKernelMessageHandled(t *testing.T) {
 	m.NewGang(1<<40, 0, job).Start()
 	m.RunUntilDone(0, job)
 	m.Eng.RunUntil(m.Eng.Now() + 100_000)
-	if m.Nodes[1].Kernel.KernelMsgs != 1 {
-		t.Errorf("kernel messages = %d, want 1", m.Nodes[1].Kernel.KernelMsgs)
+	if n := m.Nodes[1].Metrics.Counter("glaze.kernel_msgs").Value(); n != 1 {
+		t.Errorf("kernel messages = %d, want 1", n)
 	}
 	if userGot != 0 {
 		t.Error("kernel message leaked to a user handler")
@@ -117,7 +117,6 @@ func TestGangOffsetsSpread(t *testing.T) {
 	job := m.NewJob("a")
 	var first [8]uint64
 	for i := 0; i < 8; i++ {
-		i := i
 		ep := Attach(job.Process(i))
 		_ = ep
 		job.Process(i).StartMain(func(tk *cpu.Task) {

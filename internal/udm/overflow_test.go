@@ -63,8 +63,7 @@ func TestOverflowControl(t *testing.T) {
 			t.Fatalf("order violated at %d: %d", i, v)
 		}
 	}
-	trips := m.Nodes[1].Kernel.OverflowTrips
-	if trips == 0 {
+	if m.Nodes[1].Metrics.Counter("glaze.overflow.trips").Value() == 0 {
 		t.Error("overflow control never tripped")
 	}
 	if !throttledSeen {

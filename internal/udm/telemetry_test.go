@@ -18,7 +18,6 @@ import (
 // interval deltas regardless of which delivery mechanism moved the messages.
 func TestDiagnoseTimelineAllPolicies(t *testing.T) {
 	for _, name := range delivery.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			pol, err := delivery.ByName(name)
 			if err != nil {

@@ -79,7 +79,6 @@ func TestThreeJobMultiprogramming(t *testing.T) {
 			done.Add(1)
 		})
 		for node := 1; node < 4; node++ {
-			node := node
 			a.job.Process(node).StartMain(func(tk *cpu.Task) {
 				e := a.eps[node].Env(tk)
 				for i := 0; i < count; i++ {
