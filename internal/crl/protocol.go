@@ -76,16 +76,16 @@ func (n *Node) registerHandlers() {
 // logical bulk transfer (the library fragments it over the wire, standing
 // in for FUGU's DMA engine) with the region id as the leading word.
 func (n *Node) sendData(e *udm.Env, dst int, handler uint64, id RegionID, data []uint64) {
-	args := make([]uint64, 0, 1+len(data))
-	args = append(args, uint64(id))
-	args = append(args, data...)
+	args := e.EP.Scratch(1 + len(data))
+	args[0] = uint64(id)
+	copy(args[1:], data)
 	e.InjectBulk(dst, handler, args...)
+	e.EP.PutScratch(args)
 }
 
 // fillReply installs arriving region data at a requester.
 func (n *Node) fillReply(id RegionID, args []uint64, to state) {
 	r := n.regions[id]
-	trace("rid=%d node=%d fillReply to=%d", id, n.self, to)
 	if r == nil {
 		panic(fmt.Sprintf("crl: reply for unmapped region %d", id))
 	}
@@ -102,7 +102,6 @@ func (n *Node) homeRequest(e *udm.Env, req dirReq, id RegionID) {
 	if d == nil {
 		panic(fmt.Sprintf("crl: request for region %d at non-home node %d", id, n.self))
 	}
-	trace("t=%d rid=%d homeRequest op=%d from=%d busy=%v mode=%d owner=%d qlen=%d", e.Now(), id, req.op, req.from, d.busy, d.mode, d.owner, len(d.queue))
 	if d.busy {
 		d.queue = append(d.queue, req)
 		return
@@ -139,7 +138,6 @@ func (n *Node) startTxn(e *udm.Env, d *dirEntry, id RegionID, req dirReq) {
 		d.homeWait = true
 		return
 	}
-	trace("t=%d rid=%d startTxn op=%d from=%d mode=%d owner=%d", e.Now(), id, req.op, req.from, d.mode, d.owner)
 	switch req.op {
 	case opRead:
 		if d.mode == modeExclusive && d.owner != -1 && d.owner != n.self {
@@ -264,7 +262,6 @@ func (n *Node) pump(e *udm.Env, d *dirEntry, id RegionID) {
 // flush phase of the current transaction.
 func (n *Node) flushData(e *udm.Env, id RegionID, args []uint64) {
 	d := n.dir[id]
-	trace("t=%d rid=%d flushData cur.from=%d", e.Now(), id, d.cur.from)
 	home := n.regions[id]
 	copy(home.data, args)
 	// The old owner is gone; home holds the only valid copy now.
@@ -302,7 +299,6 @@ func (n *Node) invAck(e *udm.Env, id RegionID) {
 // write section is open the flush is deferred to EndWrite.
 func (n *Node) flushRequested(e *udm.Env, id RegionID) {
 	r := n.regions[id]
-	trace("t=%d rid=%d node=%d flushRequested st=%d writing=%v readers=%d", e.Now(), id, n.self, r.st, r.writing, r.readers)
 	if r == nil || r.st != exclusive {
 		panic(fmt.Sprintf("crl: node %d: flush request for region %d not held exclusive (st=%d acq=%d writing=%v readers=%d invPending=%v flushPending=%v)",
 			n.self, id, r.st, r.acq, r.writing, r.readers, r.invPending, r.flushPending))
@@ -328,13 +324,4 @@ func (n *Node) invalidated(e *udm.Env, id RegionID) {
 	}
 	r.setState(invalid)
 	e.Inject(r.home, hInvAck, uint64(id))
-}
-
-// Debug, when set, prints protocol traces (test diagnostics only).
-var Debug bool
-
-func trace(format string, args ...any) {
-	if Debug {
-		fmt.Printf("crl: "+format+"\n", args...)
-	}
 }

@@ -112,6 +112,50 @@ func TestStoreConformance(t *testing.T) {
 	}
 }
 
+// TestStorePushBorrowsWords pins the Push contract the kernel and the NI
+// rely on when they recycle a packet right after storing it: words is
+// borrowed for the call only. Every message is pushed from one caller
+// buffer that is scribbled over after each Push, and the store must still
+// return the original words. The 4-frame pool also drives the zero-copy
+// store into its copying fallback and fills the bypass ring's pinned pages.
+func TestStorePushBorrowsWords(t *testing.T) {
+	for _, pol := range allPolicies(t) {
+		for _, nframes := range []int{64, 4} {
+			t.Run(fmt.Sprintf("%s/frames=%d", pol.Name(), nframes), func(t *testing.T) {
+				st := pol.NewStore(vm.NewFrames(nframes), Params{Costs: confCosts})
+				const n = 12
+				msgLen := func(i int) int { return 3 + (i*17)%90 }
+				word := func(i, j int) uint64 { return uint64(i)<<32 | uint64(j) }
+				buf := make([]uint64, 128)
+				for i := 0; i < n; i++ {
+					words := buf[:msgLen(i)]
+					for j := range words {
+						words[j] = word(i, j)
+					}
+					if !st.Admit(len(words)) {
+						t.Fatalf("msg %d: Admit refused", i)
+					}
+					st.Push(uint64(i), words, 0, 0)
+					for j := range buf {
+						buf[j] = 0xdeadbeef
+					}
+				}
+				for i := 0; i < n; i++ {
+					if got := st.HeadLen(); got != msgLen(i) {
+						t.Fatalf("msg %d: HeadLen = %d, want %d", i, got, msgLen(i))
+					}
+					for j := 0; j < msgLen(i); j++ {
+						if got := st.HeadWord(j); got != word(i, j) {
+							t.Fatalf("msg %d word %d = %#x after the caller reused its slice, want %#x", i, j, got, word(i, j))
+						}
+					}
+					st.Pop()
+				}
+			})
+		}
+	}
+}
+
 // TestStoreResidencyAfterDrain pins each policy's memory-footprint contract:
 // the kernel-buffered stores return every page once drained, while the
 // bypass ring's statically partitioned pages stay pinned for the process's

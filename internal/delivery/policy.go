@@ -71,6 +71,9 @@ type Store interface {
 	// every Admit(true) is followed by exactly one Push.
 	Admit(nwords int) bool
 	// Push appends a message. It must succeed for any admitted message.
+	// words is borrowed for the call only: the store copies what it keeps,
+	// because the caller recycles the packet that holds them as soon as
+	// Push returns.
 	Push(id uint64, words []uint64, sentAt, now uint64) PushResult
 	// InsertCost returns the cycles the inserting context spends for a Push
 	// with the given result.

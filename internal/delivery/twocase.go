@@ -194,7 +194,7 @@ func (b *VirtualBuffer) Pop() (MsgMeta, uint64) {
 	// current page holds only read data.
 	for vp := vm.PageOf(b.head); vp > 0; {
 		prev := vp - 1
-		if words := b.space.Evict(prev * vm.PageWords); words == nil {
+		if !b.space.Unmap(prev * vm.PageWords) {
 			// Not resident: maybe swapped; drop swap copies too.
 			if _, ok := b.swap[prev]; ok {
 				delete(b.swap, prev)

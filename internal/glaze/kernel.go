@@ -212,10 +212,17 @@ func (k *Kernel) mismatchISR(t *cpu.Task) {
 			k.m.Net.Release(k.node, pkt)
 			continue
 		}
-		// No release after bufferInsert: the delivery store may retain the
-		// packet's Words (zero-copy remap installs them as the page).
+		// Push copied the words into the store, so once the NI has let go
+		// of the packet nothing references it. The insert spends cycles,
+		// and a shared input queue could present a younger arrival by
+		// then; disposing that one instead would lose it and recycle a
+		// packet still queued.
 		k.bufferInsert(t, p, pkt)
+		if k.ni.HeadPacket() != pkt {
+			panic(fmt.Sprintf("glaze: node %d: input-queue head changed during buffer insert of packet %d", k.node, pkt.ID))
+		}
 		k.ni.KDispose()
+		k.m.Net.Release(k.node, pkt)
 	}
 }
 
@@ -250,7 +257,9 @@ func (k *Kernel) bufferInsert(t *cpu.Task, p *Process, pkt *mesh.Packet) {
 	if !p.buffered {
 		p.buffered = true
 		k.mEnterInsert.Inc()
-		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "enter buffered %s (insert)", p.job.name)
+		if k.m.Trace.Enabled(trace.Mode) {
+			k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "enter buffered %s (insert)", p.job.name)
+		}
 		if p.scheduled {
 			k.ni.SetDivert(true)
 		}
@@ -275,7 +284,9 @@ func (k *Kernel) timeoutISR(t *cpu.Task) {
 		return // stale timeout (mode already shifted)
 	}
 	t.Spend(k.cost.RevokeCost)
-	k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "revoke %s (uac=%#x)", p.job.name, k.ni.UAC())
+	if k.m.Trace.Enabled(trace.Mode) {
+		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "revoke %s (uac=%#x)", p.job.name, k.ni.UAC())
+	}
 	p.Revocations++
 	k.mRevocations.Inc()
 	k.mEnterRevoke.Inc()
@@ -318,7 +329,7 @@ func (k *Kernel) contextSwitchTo(t *cpu.Task, p *Process) {
 	k.mCtxSwitches.Inc()
 	if old := k.current; old != nil {
 		old.uacShadow = k.ni.UAC()
-		old.descShadow = k.ni.ClearDescriptor()
+		old.descShadow = k.ni.ClearDescriptor(old.descShadow)
 		old.scheduled = false
 		old.suspendTasks()
 	}
@@ -334,7 +345,7 @@ func (k *Kernel) contextSwitchTo(t *cpu.Task, p *Process) {
 	k.ni.RestoreUAC(p.uacShadow)
 	if len(p.descShadow) > 0 {
 		k.ni.Describe(p.descShadow...)
-		p.descShadow = nil
+		p.descShadow = p.descShadow[:0]
 	}
 	// Transparency at quantum start: a process with buffered messages
 	// resumes in buffered mode and drains before touching the NI. A bypass
@@ -459,7 +470,9 @@ func (k *Kernel) exitBuffered(t *cpu.Task, p *Process) {
 	if k.m.alwaysBuffered {
 		return
 	}
-	k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "exit buffered %s", p.job.name)
+	if k.m.Trace.Enabled(trace.Mode) {
+		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "exit buffered %s", p.job.name)
+	}
 	k.mExitBuffered.Inc()
 	p.buffered = false
 	p.atomicVirtual = false

@@ -313,31 +313,32 @@ func (p *Process) WaitThrottle(t *cpu.Task) {
 	}
 }
 
-// tasks iterates the process's tasks.
-func (p *Process) tasks() []*cpu.Task {
-	ts := make([]*cpu.Task, 0, 2+len(p.extra))
+// eachTask calls f on each of the process's tasks in a fixed order: the
+// main thread, the message-handling activity, then spawned threads.
+func (p *Process) eachTask(f func(*cpu.Task)) {
 	if p.main != nil {
-		ts = append(ts, p.main)
+		f(p.main)
 	}
-	ts = append(ts, p.upcall)
-	ts = append(ts, p.extra...)
-	return ts
+	f(p.upcall)
+	for _, t := range p.extra {
+		f(t)
+	}
 }
 
 func (p *Process) suspendTasks() {
-	for _, t := range p.tasks() {
+	p.eachTask(func(t *cpu.Task) {
 		if !t.Done() {
 			t.Suspend()
 		}
-	}
+	})
 }
 
 func (p *Process) resumeTasks() {
-	for _, t := range p.tasks() {
+	p.eachTask(func(t *cpu.Task) {
 		if !t.Done() {
 			t.Resume()
 		}
-	}
+	})
 }
 
 // Job is a gang-scheduled parallel application: one process per node, all

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fugu/internal/cpu"
 	"fugu/internal/mesh"
 	"fugu/internal/sim"
 	"fugu/internal/spans"
@@ -148,9 +149,9 @@ func (m *Machine) Diagnose(reason string) *spans.Report {
 				fmt.Fprintf(&b, " buf-msg-ids=%v", ids)
 			}
 			b.WriteByte('\n')
-			for _, t := range p.tasks() {
+			p.eachTask(func(t *cpu.Task) {
 				fmt.Fprintf(&b, "  task %-28s %s\n", t.Name(), t.StateName())
-			}
+			})
 		}
 		rep.Sections = append(rep.Sections, spans.Section{Title: "job " + j.name, Body: b.String()})
 	}

@@ -54,6 +54,11 @@ type Packet struct {
 	// as mismatched regardless of the stamp (deterministic fault
 	// injection); the kernel still demultiplexes it by its real header.
 	FaultMismatch bool
+
+	// pooled is set while the packet sits on a free list, so a second
+	// Release of the same packet panics instead of letting two later
+	// messages share its Words.
+	pooled bool
 }
 
 // Len returns the packet length in words.
@@ -290,6 +295,7 @@ func (n *Net) Acquire(node, words int) *Packet {
 	} else {
 		pkt = &Packet{}
 	}
+	pkt.pooled = false
 	if cap(pkt.Words) < words {
 		pkt.Words = make([]uint64, words)
 	} else {
@@ -299,11 +305,22 @@ func (n *Net) Acquire(node, words int) *Packet {
 }
 
 // Release returns a packet to the free list of node's engine. Callers must
-// only release packets no component still references: the fast-dispose and
-// kernel-drop paths qualify (the message words were consumed before
-// disposal); the buffered paths do not (the delivery store may retain
-// Words).
+// only release packets no component still references. Every receive path
+// qualifies once the packet has left the NI input queue:
+//   - fast dispose: the handler read the words from the input window before
+//     disposing;
+//   - kernel and stray drops, and OS-network messages: the kernel read the
+//     words it needed before releasing;
+//   - buffered inserts and offload demux: delivery.Store.Push copies the
+//     words into the store's own pages (or a private copy), so the store
+//     never holds the packet's Words.
+//
+// Releasing a packet that is already on a free list panics.
 func (n *Net) Release(node int, pkt *Packet) {
+	if pkt.pooled {
+		panic(fmt.Sprintf("mesh: packet %d released twice", pkt.ID))
+	}
+	pkt.pooled = true
 	p := n.engAt(node).Part()
 	n.pool[p] = append(n.pool[p], pkt)
 }

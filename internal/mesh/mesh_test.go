@@ -277,6 +277,26 @@ func TestPoolManyToOne(t *testing.T) {
 	}
 }
 
+// TestReleaseTwicePanics: a second Release of a packet already on the free
+// list panics, so two later Acquires can never hand out the same packet.
+// Acquire clears the mark, so the packet can be released again after reuse.
+func TestReleaseTwicePanics(t *testing.T) {
+	e := sim.NewEngine(1)
+	n, _ := newNet(e)
+	pkt := n.Acquire(0, 2)
+	n.Release(0, pkt)
+	if again := n.Acquire(0, 2); again != pkt {
+		t.Fatal("Acquire did not reuse the released packet")
+	}
+	n.Release(0, pkt)
+	defer func() {
+		if got := recover(); got == nil {
+			t.Fatal("double Release did not panic")
+		}
+	}()
+	n.Release(0, pkt)
+}
+
 // Property: for random send schedules from many sources to one sink with a
 // finite queue that is drained periodically, every packet is delivered
 // exactly once and per-source order is preserved.

@@ -454,6 +454,8 @@ func (ni *NI) demuxLoop() {
 		}
 		ni.mDemuxed.Inc()
 		ni.popHead()
+		// The offload copied the words into the owner's store.
+		ni.net.Release(ni.node, pkt)
 	}
 	ni.demuxing = false
 }
@@ -497,11 +499,13 @@ func (ni *NI) Describe(words ...uint64) {
 func (ni *NI) DescriptorLength() int { return len(ni.out) }
 
 // ClearDescriptor abandons the current descriptor (kernel context-switch
-// path: the descriptor is unloaded and later reloaded via Describe).
-func (ni *NI) ClearDescriptor() []uint64 {
-	d := ni.out
-	ni.out = nil
-	return d
+// path: the descriptor is unloaded and later reloaded via Describe). The
+// words are copied into dst's storage, which is returned resliced; the NI
+// keeps its own buffer, so a context switch allocates neither.
+func (ni *NI) ClearDescriptor(dst []uint64) []uint64 {
+	dst = append(dst[:0], ni.out...)
+	ni.out = ni.out[:0]
+	return dst
 }
 
 // Launch implements the launch operation of Table 1. With user privilege a

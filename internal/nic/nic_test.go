@@ -378,9 +378,13 @@ func TestMismatchRaisedOncePerHead(t *testing.T) {
 func TestClearDescriptorContextSwitch(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	r.ni[0].Describe(MakeHeader(1), xhandler, 5)
-	saved := r.ni[0].ClearDescriptor()
+	shadow := make([]uint64, 0, 8)
+	saved := r.ni[0].ClearDescriptor(shadow)
 	if len(saved) != 3 || r.ni[0].DescriptorLength() != 0 {
 		t.Fatal("ClearDescriptor did not unload")
+	}
+	if &saved[0] != &shadow[:1][0] {
+		t.Error("ClearDescriptor did not reuse the caller's buffer")
 	}
 	// Reload and launch later, as the kernel would on switch-back.
 	r.ni[0].Describe(saved...)

@@ -14,11 +14,12 @@ import "fmt"
 // must not register handlers in the reserved range 0xf0-0xff.
 const hBulkFrag = 0xf0
 
-// bulkXfer is one in-flight reassembly.
+// bulkXfer is one in-flight reassembly. The payload is assembled straight
+// into a Msg from the endpoint's free list, which the handler then receives
+// and the runtime recycles like any other (see Msg).
 type bulkXfer struct {
-	handler uint64
-	data    []uint64
-	got     int
+	msg *Msg
+	got int
 }
 
 // InjectBulk sends a payload of any length to dst; the handler runs once at
@@ -37,45 +38,69 @@ func (e *Env) InjectBulk(dst int, handler uint64, data ...uint64) {
 		e.Inject(dst, hBulkFrag, id, 0, 0, handler)
 		return
 	}
+	buf := ep.Scratch(4 + min(max, len(data)))
 	for off := 0; off < len(data); off += max {
-		end := off + max
-		if end > len(data) {
-			end = len(data)
-		}
-		args := make([]uint64, 0, 4+end-off)
-		args = append(args, id, uint64(off), uint64(len(data)), handler)
+		end := min(off+max, len(data))
+		args := append(buf[:0], id, uint64(off), uint64(len(data)), handler)
 		args = append(args, data[off:end]...)
 		e.Inject(dst, hBulkFrag, args...)
 	}
+	ep.PutScratch(buf)
 }
+
+// Scratch returns a word slice of length n from the endpoint's free list,
+// for building a payload that is sent and then dropped; hand it back with
+// PutScratch once the send has returned. Each caller takes its own slice
+// rather than sharing one buffer: an inject spends cycles before the NI
+// copies the words, and an interrupt taken meanwhile may build and send
+// another payload on the same endpoint.
+func (ep *EP) Scratch(n int) []uint64 {
+	k := len(ep.scratchFree)
+	if k == 0 {
+		return make([]uint64, n)
+	}
+	b := ep.scratchFree[k-1]
+	ep.scratchFree[k-1] = nil
+	ep.scratchFree = ep.scratchFree[:k-1]
+	if cap(b) < n {
+		return make([]uint64, n)
+	}
+	return b[:n]
+}
+
+// PutScratch returns a slice taken with Scratch to the free list.
+func (ep *EP) PutScratch(b []uint64) { ep.scratchFree = append(ep.scratchFree, b) }
 
 // registerBulk installs the fragment reassembly handler on the endpoint.
 func (ep *EP) registerBulk() {
-	ep.bulk = make(map[uint64]*bulkXfer)
+	ep.bulk = make(map[uint64]bulkXfer)
 	ep.On(hBulkFrag, func(e *Env, m *Msg) {
 		id, off, total, handler := m.Args[0], int(m.Args[1]), int(m.Args[2]), m.Args[3]
-		x := ep.bulk[id]
-		if x == nil {
-			x = &bulkXfer{handler: handler, data: make([]uint64, total)}
-			ep.bulk[id] = x
+		x, ok := ep.bulk[id]
+		if !ok {
+			x.msg = ep.getMsg(total)
+			x.msg.Handler = handler
 		}
 		words := m.Args[4:]
-		copy(x.data[off:], words)
+		copy(x.msg.Args[off:], words)
 		x.got += len(words)
 		if x.got < total {
+			ep.bulk[id] = x
 			return
 		}
 		delete(ep.bulk, id)
-		h, ok := ep.handlers[x.handler]
+		h, ok := ep.handlers[x.msg.Handler]
 		if !ok {
-			panic(fmt.Sprintf("udm: node %d: no handler registered for bulk id %d", ep.Node(), x.handler))
+			panic(fmt.Sprintf("udm: node %d: no handler registered for bulk id %d", ep.Node(), x.msg.Handler))
 		}
 		ep.Delivered++
-		h(&Env{T: e.T, EP: ep, inHandler: true}, &Msg{
-			Handler: x.handler,
-			Args:    x.data,
-			Fast:    m.Fast,
-			Bulk:    true,
-		})
+		x.msg.Fast = m.Fast
+		x.msg.Bulk = true
+		env := ep.getEnv()
+		env.T = e.T
+		env.inHandler = true
+		h(env, x.msg)
+		ep.putEnv(env)
+		ep.putMsg(x.msg)
 	})
 }

@@ -33,8 +33,9 @@ type Handler func(e *Env, m *Msg)
 //
 // A Msg passed to a Handler (and the Env alongside it) is valid only for
 // the duration of the call: the runtime recycles both once the handler
-// returns. Handlers that need the payload later must copy Args. Messages
-// returned by Peek are not recycled.
+// returns. That holds for bulk transfers too: the reassembled payload in
+// Args is reused by a later transfer. Handlers that need the payload later
+// must copy Args. Messages returned by Peek are not recycled.
 type Msg struct {
 	Handler uint64   // handler address word
 	Args    []uint64 // payload words
@@ -63,7 +64,7 @@ type EP struct {
 	inj *faultinject.Injector
 
 	// Bulk-transfer reassembly state.
-	bulk     map[uint64]*bulkXfer
+	bulk     map[uint64]bulkXfer
 	nextXfer uint32
 
 	// Free lists recycling the per-delivery Msg and Env objects (valid only
@@ -73,6 +74,8 @@ type EP struct {
 	// only needs release-once discipline to stay correct.
 	msgFree []*Msg
 	envFree []*Env
+	// scratchFree recycles the payload slices handed out by Scratch.
+	scratchFree [][]uint64
 
 	// Statistics.
 	Sent          uint64

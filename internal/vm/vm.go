@@ -19,6 +19,12 @@ type Frames struct {
 	total     int
 	inUse     int
 	highWater int
+
+	// spare holds the storage of unmapped pages for reuse by any space on
+	// the node, so steady-state buffering maps pages without allocating.
+	// It is host memory only: frame accounting ignores it, and Ensure
+	// zero-fills whatever it takes.
+	spare [][]uint64
 }
 
 // NewFrames returns a pool of n physical frames.
@@ -84,16 +90,27 @@ func (f *Frames) release() {
 	f.inUse--
 }
 
-// page is one mapped virtual page with its backing storage.
-type page struct {
-	words []uint64
+// newPage returns zero-filled page storage, recycled when a spare exists.
+func (f *Frames) newPage() []uint64 {
+	n := len(f.spare)
+	if n == 0 {
+		return make([]uint64, PageWords)
+	}
+	words := f.spare[n-1]
+	f.spare[n-1] = nil
+	f.spare = f.spare[:n-1]
+	clear(words)
+	return words
 }
+
+// recycle keeps an unmapped page's storage for a later newPage.
+func (f *Frames) recycle(words []uint64) { f.spare = append(f.spare, words) }
 
 // Space is a process address space: a page table over the node's frame pool
 // with zero-fill-on-demand semantics.
 type Space struct {
 	frames *Frames
-	pages  map[uint64]*page
+	pages  map[uint64][]uint64 // resident pages' words by virtual page
 
 	denied    uint64 // allocations refused for lack of frames
 	highWater int    // max pages simultaneously mapped in this space
@@ -101,7 +118,7 @@ type Space struct {
 
 // NewSpace returns an empty address space over the node's frame pool.
 func NewSpace(frames *Frames) *Space {
-	return &Space{frames: frames, pages: make(map[uint64]*page)}
+	return &Space{frames: frames, pages: make(map[uint64][]uint64)}
 }
 
 // Mapped reports whether the page containing addr is resident.
@@ -132,7 +149,7 @@ func (s *Space) Ensure(addr uint64) (faulted, ok bool) {
 		s.denied++
 		return true, false
 	}
-	s.pages[vp] = &page{words: make([]uint64, PageWords)}
+	s.pages[vp] = s.frames.newPage()
 	if len(s.pages) > s.highWater {
 		s.highWater = len(s.pages)
 	}
@@ -146,7 +163,7 @@ func (s *Space) Read(addr uint64) uint64 {
 	if !ok {
 		panic(fmt.Sprintf("vm: read of unmapped address %#x", addr))
 	}
-	return p.words[addr%PageWords]
+	return p[addr%PageWords]
 }
 
 // Write stores a word at addr; the page must be resident.
@@ -155,18 +172,19 @@ func (s *Space) Write(addr uint64, v uint64) {
 	if !ok {
 		panic(fmt.Sprintf("vm: write to unmapped address %#x", addr))
 	}
-	p.words[addr%PageWords] = v
+	p[addr%PageWords] = v
 }
 
-// Unmap releases the page containing addr back to the frame pool. Unmapping
-// a non-resident page is a no-op.
-func (s *Space) Unmap(addr uint64) {
-	vp := PageOf(addr)
-	if _, ok := s.pages[vp]; !ok {
-		return
+// Unmap releases the page containing addr back to the frame pool, keeping
+// its storage for reuse, and reports whether the page was resident.
+// Unmapping a non-resident page is a no-op.
+func (s *Space) Unmap(addr uint64) bool {
+	words := s.Evict(addr)
+	if words == nil {
+		return false
 	}
-	delete(s.pages, vp)
-	s.frames.release()
+	s.frames.recycle(words)
+	return true
 }
 
 // Evict unmaps the page containing addr and returns its contents, for
@@ -174,13 +192,13 @@ func (s *Space) Unmap(addr uint64) {
 // returns nil.
 func (s *Space) Evict(addr uint64) []uint64 {
 	vp := PageOf(addr)
-	p, ok := s.pages[vp]
+	words, ok := s.pages[vp]
 	if !ok {
 		return nil
 	}
 	delete(s.pages, vp)
 	s.frames.release()
-	return p.words
+	return words
 }
 
 // Install maps the page containing addr with the given contents, for paging
@@ -198,18 +216,19 @@ func (s *Space) Install(addr uint64, words []uint64) bool {
 		s.denied++
 		return false
 	}
-	s.pages[vp] = &page{words: words}
+	s.pages[vp] = words
 	if len(s.pages) > s.highWater {
 		s.highWater = len(s.pages)
 	}
 	return true
 }
 
-// Release unmaps every page (process teardown).
+// Release unmaps every page (process teardown, or a drained buffer),
+// keeping their storage for reuse.
 func (s *Space) Release() {
-	n := len(s.pages)
-	s.pages = make(map[uint64]*page)
-	for i := 0; i < n; i++ {
+	for _, words := range s.pages {
 		s.frames.release()
+		s.frames.recycle(words)
 	}
+	clear(s.pages)
 }

@@ -21,6 +21,47 @@ func TestEnsureZeroFill(t *testing.T) {
 	}
 }
 
+// TestRecycledPageZeroFilled: page storage freed by Unmap or Release is
+// reused by a later Ensure, in the same space or another on the node, and
+// must come back zero-filled and reported as a fault, exactly like a fresh
+// page. Recycling is host memory only, so the frame accounting is the same
+// as without it.
+func TestRecycledPageZeroFilled(t *testing.T) {
+	free := map[string]func(s *Space){
+		"unmap":   func(s *Space) { s.Unmap(0); s.Unmap(PageWords) },
+		"release": func(s *Space) { s.Release() },
+	}
+	for name, drop := range free {
+		t.Run(name, func(t *testing.T) {
+			f := NewFrames(4)
+			a, b := NewSpace(f), NewSpace(f)
+			for _, addr := range []uint64{0, PageWords} {
+				a.Ensure(addr)
+				for i := uint64(0); i < PageWords; i++ {
+					a.Write(addr+i, 0xdead0000|i)
+				}
+			}
+			drop(a)
+			if f.InUse() != 0 || f.HighWater() != 2 || a.PagesMapped() != 0 {
+				t.Fatalf("after %s: InUse %d HighWater %d mapped %d, want 0 2 0", name, f.InUse(), f.HighWater(), a.PagesMapped())
+			}
+			for _, s := range []*Space{a, b} {
+				if faulted, ok := s.Ensure(0); !faulted || !ok {
+					t.Fatalf("re-Ensure = (%v,%v), want fault+ok", faulted, ok)
+				}
+				for i := uint64(0); i < PageWords; i++ {
+					if got := s.Read(i); got != 0 {
+						t.Fatalf("recycled page word %d = %#x, want 0", i, got)
+					}
+				}
+			}
+			if f.InUse() != 2 || f.HighWater() != 2 {
+				t.Fatalf("after re-Ensure: InUse %d HighWater %d, want 2 2", f.InUse(), f.HighWater())
+			}
+		})
+	}
+}
+
 func TestReadWrite(t *testing.T) {
 	s := NewSpace(NewFrames(4))
 	s.Ensure(0)
