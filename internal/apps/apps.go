@@ -127,9 +127,7 @@ func (b *Barrier) Wait(t *cpu.Task) {
 		dst := (b.self + 1<<r) % b.nodes
 		e.Inject(dst, hBarrier, b.epoch, uint64(r))
 		b.expected[p][r]++
-		for b.slot[p][r].Value() < b.expected[p][r] {
-			e.Poll()
-		}
+		e.PollFor(b.slot[p][r], b.expected[p][r])
 	}
 	e.EndAtomic()
 	b.epoch++

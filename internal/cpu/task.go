@@ -47,6 +47,11 @@ type Task struct {
 
 	consumed uint64 // total cycles this task has spent
 
+	// SpendWhile state: the spend and the loop condition of the spin in
+	// progress, read by the proc's re-arm hook (spinHook).
+	spinN    uint64
+	spinCond Cond
+
 	// Scheduler gate (Suspend/Resume).
 	suspended  bool
 	wakeBanked bool
@@ -147,6 +152,66 @@ func (t *Task) Spend(n uint64) {
 		// Loop: the wake was either spend completion (remaining == 0,
 		// still running), a re-grant after preemption, or stale.
 	}
+}
+
+// Cond is the loop condition of SpendWhile. Holds may be evaluated more
+// than once at one simulated time, in engine context as well as by the
+// task, so it must be cheap, must not block or spend, and must give the
+// same answer, with the same effect, each time it is asked at a fixed time
+// (an effect that happens only on a change, such as a fault window
+// opening, qualifies). Implement it on a pointer type, so passing it
+// allocates nothing.
+type Cond interface {
+	Holds() bool
+}
+
+// SpendWhile spends n cycles, and again n cycles, as long as cond holds
+// after each spend. It is exactly
+//
+//	for {
+//		t.Spend(n)
+//		if !cond.Holds() {
+//			return
+//		}
+//	}
+//
+// — the same cycles, events and preemption points — but a spend that ends
+// with cond still holding is re-armed by the engine, at the spend's wake
+// event, without resuming the task's coroutine. A polling loop that finds
+// nothing therefore costs no coroutine switch per poll. n must be nonzero.
+func (t *Task) SpendWhile(n uint64, cond Cond) {
+	if n == 0 {
+		panic(fmt.Sprintf("cpu: %s SpendWhile(0)", t.name))
+	}
+	t.spinN, t.spinCond = n, cond
+	t.proc.SetRearm((*spinHook)(t))
+	for {
+		t.Spend(n)
+		if !cond.Holds() {
+			break
+		}
+	}
+	t.proc.SetRearm(nil)
+	t.spinCond = nil
+}
+
+// spinHook is a Task in a SpendWhile, seen as its proc's sim.Rearmer.
+type spinHook Task
+
+// Rearm runs, at a wake of the spinning task, the checks the task would run
+// on resuming: Spend returns only if the task is still the running one with
+// its balance spent and no preemption due, and SpendWhile then spends again
+// only if the condition holds. When all of that holds it arms the next
+// spend, as Spend would before parking; otherwise the task resumes.
+func (h *spinHook) Rearm() bool {
+	t := (*Task)(h)
+	if t.cpu.running != t || t.state != taskRunning || t.remaining != 0 ||
+		t.cpu.needResched(t) || !t.spinCond.Holds() {
+		return false
+	}
+	t.remaining = t.spinN
+	t.armSpend()
+	return true
 }
 
 // armSpend schedules the completion event for the current balance.

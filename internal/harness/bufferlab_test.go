@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +61,47 @@ func TestBufferlabEconomics(t *testing.T) {
 		if row.Queue == "fifo:static" && row.Refused == 0 && row.Plan != "none" {
 			t.Errorf("fifo never refused under plan %s: the workload is not scarce enough to compare", row.Plan)
 		}
+	}
+}
+
+// TestBufferlabDominanceNeedsBothSides checks the verdict on a queue axis
+// narrowed by -niq: without fifo:static, or with nothing but it, the
+// dominance claim is reported as not evaluated instead of failing, while a
+// sweep of both sides in which no shared organization wins still fails.
+func TestBufferlabDominanceNeedsBothSides(t *testing.T) {
+	const fail = "no shared queue organization dominated the static FIFO on overflow rate"
+	row := func(queue string, arrived, refused uint64) LabRow {
+		return LabRow{Plan: "none", Policy: "twocase", Queue: queue, Completed: true, Arrived: arrived, Refused: refused}
+	}
+	for _, tc := range []struct {
+		name     string
+		rows     []LabRow
+		wantFail bool
+		wantLine string
+	}{
+		{"no fifo:static", []LabRow{row("damq:demand", 90, 10)}, false,
+			"dominance: not evaluated: the queue axis does not include fifo:static"},
+		{"only fifo:static", []LabRow{row("fifo:static", 90, 10)}, false,
+			"dominance: not evaluated: the queue axis includes no organization but fifo:static"},
+		{"shared organization loses", []LabRow{row("fifo:static", 90, 10), row("damq:demand", 80, 20)}, true,
+			"dominance: NO shared organization beat the static FIFO on overflow rate"},
+		{"fifo never refused", []LabRow{row("fifo:static", 100, 0), row("damq:demand", 100, 0)}, true,
+			"dominance: NO shared organization beat the static FIFO on overflow rate"},
+		{"shared organization wins", []LabRow{row("fifo:static", 90, 10), row("damq:demand", 95, 5)}, false,
+			"dominance: damq:demand overflow 5.00% < fifo:static 10.00%"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := LabResult{Rows: tc.rows, preset: bufferlabPreset}
+			verdict := labVerdict(res)
+			if got := slices.Contains(verdict, fail); got != tc.wantFail {
+				t.Errorf("verdict %q: dominance failure reported %v, want %v", verdict, got, tc.wantFail)
+			}
+			var out strings.Builder
+			res.Print(&out)
+			if !strings.Contains(out.String(), tc.wantLine) {
+				t.Errorf("printed report lacks %q:\n%s", tc.wantLine, out.String())
+			}
+		})
 	}
 }
 

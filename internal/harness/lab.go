@@ -439,12 +439,35 @@ func (r LabResult) CauseCoverage() []CauseCoverage {
 	return out
 }
 
+// dominanceUntested returns why the sweep cannot test the dominance claim,
+// or "" when it can. The claim compares shared organizations against the
+// static FIFO, so a queue axis narrowed (by -niq) to leave out either side
+// has nothing to compare.
+func (r LabResult) dominanceUntested() string {
+	fifo, shared := false, false
+	for _, row := range r.Rows {
+		if row.Queue == "fifo:static" {
+			fifo = true
+		} else {
+			shared = true
+		}
+	}
+	switch {
+	case !fifo:
+		return "the queue axis does not include fifo:static"
+	case !shared:
+		return "the queue axis includes no organization but fifo:static"
+	}
+	return ""
+}
+
 // Dominance aggregates refusals across every plan and trial per queue
 // organization and reports whether at least one shared organization strictly
 // beats the static FIFO on overflow rate at the same slot count — the
 // economics claim the buffer lab exists to test. ok is false when the FIFO
 // never refused (the workload was not scarce enough to compare) or no shared
-// organization won.
+// organization won, and also when the sweep left out either side (see
+// dominanceUntested).
 func (r LabResult) Dominance() (fifoRate float64, bestSpec string, bestRate float64, ok bool) {
 	type agg struct{ arrived, refused uint64 }
 	sums := map[string]*agg{}
@@ -489,7 +512,7 @@ func labVerdict(res Result) []string {
 			}
 		}
 	}
-	if r.preset.dominance {
+	if r.preset.dominance && r.dominanceUntested() == "" {
 		if _, _, _, ok := r.Dominance(); !ok {
 			out = append(out, "no shared queue organization dominated the static FIFO on overflow rate")
 		}
@@ -537,7 +560,9 @@ func (r LabResult) Print(w io.Writer) {
 		}
 	}
 	if r.preset.dominance {
-		if fifoRate, best, bestRate, ok := r.Dominance(); ok {
+		if why := r.dominanceUntested(); why != "" {
+			fmt.Fprintln(w, "dominance: not evaluated:", why)
+		} else if fifoRate, best, bestRate, ok := r.Dominance(); ok {
 			fmt.Fprintf(w, "dominance: %s overflow %.2f%% < fifo:static %.2f%% at %d slots\n",
 				best, bestRate*100, fifoRate*100, bufferlabSlots)
 		} else {

@@ -35,7 +35,7 @@ func TestLabTimelines(t *testing.T) {
 // TestLabAxisRule pins the axis rule: an axis the options set (-policy,
 // -niq) holds only that value, even in a preset that sweeps it. A buffer lab
 // narrowed to one shared organization has no FIFO to beat, so its verdict
-// reports the missing dominance.
+// leaves the dominance claim unevaluated instead of failing it.
 func TestLabAxisRule(t *testing.T) {
 	bypass, err := delivery.ByName("bypass")
 	if err != nil {
@@ -50,8 +50,7 @@ func TestLabAxisRule(t *testing.T) {
 	}{
 		{"crucible", WithDeliveryPolicy(bypass), 8, "bypass", "", nil},
 		{"policylab", WithDeliveryPolicy(bypass), 3, "bypass", "", nil},
-		{"bufferlab", WithInputQueue(niq.Spec{Model: niq.ModelDAMQ, Policy: niq.PolicyDemand}), 4, "", "damq:demand",
-			[]string{"no shared queue organization dominated the static FIFO on overflow rate"}},
+		{"bufferlab", WithInputQueue(niq.Spec{Model: niq.ModelDAMQ, Policy: niq.PolicyDemand}), 4, "", "damq:demand", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.exp, func(t *testing.T) {

@@ -178,3 +178,47 @@ func BenchmarkDeepQueue(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// pollRearm takes a lockstep poller's wakes in place for turns rounds:
+// what the woken proc would do, schedule its next round and park again.
+type pollRearm struct {
+	p     *Proc
+	wake  func(any)
+	turns int
+}
+
+func (h *pollRearm) Rearm() bool {
+	if h.turns == 0 {
+		return false
+	}
+	h.turns--
+	h.p.eng.ScheduleArg(lockstepSpend, h.wake, h.p)
+	return true
+}
+
+const lockstepSpend = 10
+
+// BenchmarkLockstepPoll is BenchmarkLockstepSpend with every proc spinning
+// under a Rearmer, the shape of barrier's polling wait under
+// cpu.Task.SpendWhile: the same events in the same order, but each wake is
+// re-armed by the engine instead of resuming the proc. One op is one
+// round: every proc polls once.
+func BenchmarkLockstepPoll(b *testing.B) {
+	const procs = 8
+	e := NewEngine(1)
+	wake := func(a any) { e.Wake(a.(*Proc)) }
+	for i := 0; i < procs; i++ {
+		h := &pollRearm{wake: wake, turns: b.N}
+		h.p = e.Spawn("poller", func(p *Proc) {
+			p.SetRearm(h)
+			e.ScheduleArg(lockstepSpend, wake, p)
+			p.Park()
+			p.SetRearm(nil)
+		})
+	}
+	// The first round fills the event pool; time the rest.
+	e.RunUntil(lockstepSpend)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

@@ -16,6 +16,9 @@ type Engine struct {
 	q       eventQueue
 	free    *Event // recycled event structs (see event.go)
 	current *Proc  // proc currently holding the baton, nil in engine context
+	// handoff is the chained proc whose wake the acting proc popped, set
+	// while the dispatch chain unwinds to it (see Proc.park).
+	handoff *Proc
 	stopped bool
 	live    int // number of live (spawned, not finished) procs
 

@@ -35,7 +35,31 @@ type Proc struct {
 	chained bool
 	// site labels this proc's wake events for the cost profiler (SetSite).
 	site Site
+	// rearm, when set, may take the proc's wakes without resuming it (see
+	// Rearmer). It is nil except while a Rearmer sets it, so the wake path
+	// pays one nil test.
+	rearm Rearmer
 }
+
+// Rearmer lets the engine handle a parked proc's wake without resuming it.
+// A proc that only re-arms its wait and parks again when woken (a polling
+// spin) installs one with SetRearm; at each of the proc's wake events the
+// engine calls Rearm in place of the resume.
+//
+// Rearm runs in engine context, at the wake's time and at the point in the
+// event order where the resumed proc would run. It must either do exactly
+// what the proc would do on resuming before it parks again — the same
+// state changes and the same schedules, in the same order — and return
+// true, or change nothing and return false, in which case the proc is
+// resumed as usual. Either way the wake is popped and counted as before, so
+// event order, sequence numbers and the engine's counters do not depend on
+// which path a wake takes.
+type Rearmer interface {
+	Rearm() bool
+}
+
+// SetRearm installs (or, with nil, removes) the proc's Rearmer.
+func (p *Proc) SetRearm(r Rearmer) { p.rearm = r }
 
 // Spawn creates a proc running fn and schedules its first dispatch at the
 // current time. fn runs in proc context: it may Park, Sleep, schedule events
@@ -70,6 +94,9 @@ func (e *Engine) dispatch(p *Proc) {
 		panic(fmt.Sprintf("sim: dispatch of finished proc %s", p.name))
 	}
 	p.wake = Handle{}
+	if p.rearm != nil && p.rearm.Rearm() {
+		return
+	}
 	e.current = p
 	p.resume()
 	e.current = nil
@@ -90,16 +117,23 @@ func (e *Engine) dispatch(p *Proc) {
 // still costs several times an inline self-wake, so the chain stays: a proc
 // that sleeps and wakes with nothing in between never leaves its own stack.
 //
-// The one event the acting proc must not handle itself is a wake for a proc
-// marked chained — an ancestor in the chain, which is suspended inside its
-// child's resume, not in its own yield. The actor leaves that event queued
-// and falls back to the real yield, which unwinds the chain link by link
-// (each ancestor re-checks the same head event) until it reaches the woken
-// proc, whose own loop pops the event and resumes. Stop, a reached time
-// limit and an empty queue unwind the same way, so Engine.Run regains
-// control with every proc really parked. Dispatch order and callback context
-// are identical to the engine-mediated path throughout — only which
-// coroutine executes the loop changes.
+// The one wake the acting proc cannot serve by a resume is a wake for a
+// proc marked chained — an ancestor in the chain, which is suspended inside
+// its child's resume, not in its own yield. The actor pops it like any
+// other event, marks the ancestor as the engine's handoff, and falls back
+// to the real yield, which unwinds the chain link by link (each ancestor
+// sees a handoff that is not its own and yields too) until it reaches the
+// woken proc, which takes the handoff and returns from its park. Stop, a
+// reached time limit and an empty queue unwind the same way, with no
+// handoff, so Engine.Run regains control with every proc really parked.
+// Dispatch order and callback context are identical to the
+// engine-mediated path throughout — only which coroutine executes the loop
+// changes.
+//
+// Every wake of a proc that carries a Rearmer is offered to it first,
+// after the pop: in dispatch, for the actor's own wake, and for an
+// ancestor's wake. A wake the Rearmer takes needs no resume, so an
+// ancestor's takes no unwinding either.
 func (p *Proc) park() {
 	e := p.eng
 	if e.current != p {
@@ -107,16 +141,13 @@ func (p *Proc) park() {
 	}
 	e.current = nil
 	p.chained = true
-	for !e.stopped {
+	for !e.stopped && e.handoff == nil {
 		ev := e.q.peek()
 		if ev == nil {
 			break
 		}
 		if ev.at > e.limit {
 			break
-		}
-		if q := ev.proc; q != nil && q != p && q.chained {
-			break // wake for an ancestor: unwind the chain to it
 		}
 		e.q.pop(ev)
 		if ev.at < e.now {
@@ -129,15 +160,24 @@ func (p *Proc) park() {
 		}
 		if q := ev.proc; q != nil {
 			e.release(ev)
-			if q == p {
-				// Our own wake: resume in place, mirroring dispatch's
-				// bookkeeping (clear the wake handle, retake the baton).
-				p.wake = Handle{}
-				p.chained = false
-				e.current = p
-				return
+			if q != p && !q.chained {
+				e.dispatch(q)
+				continue
 			}
-			e.dispatch(q)
+			// Our own wake or an ancestor's: mirror dispatch's
+			// bookkeeping, then re-arm in place, resume in place, or hand
+			// off to the ancestor.
+			q.wake = Handle{}
+			if q.rearm != nil && q.rearm.Rearm() {
+				continue
+			}
+			if q != p {
+				e.handoff = q
+				break
+			}
+			p.chained = false
+			e.current = p
+			return
 		} else if fn := ev.fn; fn != nil {
 			e.release(ev)
 			fn()
@@ -148,7 +188,11 @@ func (p *Proc) park() {
 		}
 	}
 	p.chained = false
-	p.yield(struct{}{})
+	if e.handoff == p {
+		e.handoff = nil
+	} else {
+		p.yield(struct{}{})
+	}
 	e.current = p
 }
 

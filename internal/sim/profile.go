@@ -75,6 +75,10 @@ type ProfilerConfig struct {
 	// Allocs attributes heap allocations per site (one runtime/metrics
 	// read per dispatched event; noticeably slower, so opt-in).
 	Allocs bool
+	// OnEvent, when set, is called with the site and time of every
+	// dispatched event, in dispatch order: the engine's event log, for
+	// tests that compare two runs event by event.
+	OnEvent func(site Site, now uint64)
 }
 
 // Profiler attributes engine work to schedule sites. Attach one to an
@@ -99,8 +103,9 @@ type ProfilerConfig struct {
 // profile. It is not safe for concurrent use from parallel sweep workers;
 // pair it with Parallelism(1), like Trace and Spans recorders.
 type Profiler struct {
-	wall   bool
-	allocs bool
+	wall    bool
+	allocs  bool
+	onEvent func(Site, uint64)
 
 	lastNow    uint64
 	prevSite   Site
@@ -120,7 +125,7 @@ type siteCell struct {
 
 // NewProfiler returns a profiler sized to the current site registry.
 func NewProfiler(cfg ProfilerConfig) *Profiler {
-	p := &Profiler{wall: cfg.Wall, allocs: cfg.Allocs}
+	p := &Profiler{wall: cfg.Wall, allocs: cfg.Allocs, onEvent: cfg.OnEvent}
 	if cfg.Allocs {
 		p.sample = []rtmetrics.Sample{{Name: "/gc/heap/allocs:objects"}}
 	}
@@ -186,6 +191,9 @@ func (p *Profiler) tick(site Site, now uint64) {
 		p.lastAllocs = a
 	}
 	p.prevSite = site
+	if p.onEvent != nil {
+		p.onEvent(site, now)
+	}
 }
 
 // SiteProfile is one row of a profile snapshot.

@@ -195,22 +195,63 @@ func (ep *EP) observeDelivery(t *cpu.Task, before uint64) {
 // an atomic section (BeginAtomic), or delivery would race the interrupt
 // path. Returns whether a message was handled.
 func (e *Env) Poll() bool {
-	ep := e.EP
-	if !e.Atomic() && !ep.p.AtomicVirtual() {
-		panic("udm: Poll outside an atomic section")
-	}
-	e.T.Spend(ep.cost.Poll)
-	if !ep.p.HaveMessage() {
-		return false
-	}
-	ep.deliverPolled(e.T)
-	return true
+	e.mustHoldAtomicity("Poll")
+	e.T.Spend(e.EP.cost.Poll)
+	return e.deliverAny()
 }
 
 // PollWait polls until at least one message has been handled. It burns
-// poll cycles, which is what a polling processor does.
-func (e *Env) PollWait() {
-	for !e.Poll() {
+// poll cycles, which is what a polling processor does: it is exactly
+// `for !e.Poll() {}`, with the empty polls spun by cpu.Task.SpendWhile.
+func (e *Env) PollWait() { e.pollUntil(nil, 0) }
+
+// PollFor polls until c reaches target, handling every message that
+// arrives meanwhile (the handlers are what advance c). It is exactly
+// `for c.Value() < target { e.Poll() }`, with the empty polls spun by
+// cpu.Task.SpendWhile, so a polling wait costs simulated cycles per poll
+// but no host coroutine switch per poll.
+func (e *Env) PollFor(c *Counter, target uint64) { e.pollUntil(c, target) }
+
+// pollUntil is the loop of PollWait (c nil: until one message is handled)
+// and PollFor (until c reaches target). Each pass is one Poll whose empty
+// repeats run as one spin.
+func (e *Env) pollUntil(c *Counter, target uint64) {
+	ep := e.EP
+	for c == nil || c.n < target {
+		e.mustHoldAtomicity("Poll")
+		s := ep.getSpin()
+		s.c, s.target = c, target
+		e.T.SpendWhile(ep.cost.Poll, (*pollSpin)(s))
+		ep.putSpin(s)
+		if e.deliverAny() && c == nil {
+			return
+		}
+	}
+}
+
+// pollSpin is the condition of a poll loop's spin: the poll found no
+// message, the loop has not reached its target, and the next pass's
+// atomicity check would pass.
+type pollSpin spin
+
+func (s *pollSpin) Holds() bool {
+	return !s.p.HaveMessage() && (s.c == nil || s.c.n < s.target) && mayPoll(s.p)
+}
+
+// deliverAny is the second half of a poll: deliver the head message if
+// there is one, and report whether there was.
+func (e *Env) deliverAny() bool {
+	if !e.EP.p.HaveMessage() {
+		return false
+	}
+	e.EP.deliverPolled(e.T)
+	return true
+}
+
+// mustHoldAtomicity panics unless the caller may poll.
+func (e *Env) mustHoldAtomicity(op string) {
+	if !mayPoll(e.EP.p) {
+		panic("udm: " + op + " outside an atomic section")
 	}
 }
 
@@ -220,9 +261,7 @@ func (e *Env) PollWait() {
 // EndAtomic) performs the actual extraction.
 func (e *Env) Peek() *Msg {
 	ep := e.EP
-	if !e.Atomic() && !ep.p.AtomicVirtual() {
-		panic("udm: Peek outside an atomic section")
-	}
+	e.mustHoldAtomicity("Peek")
 	e.T.Spend(ep.cost.Poll)
 	p := ep.p
 	if !p.HaveMessage() {

@@ -76,6 +76,10 @@ type EP struct {
 	envFree []*Env
 	// scratchFree recycles the payload slices handed out by Scratch.
 	scratchFree [][]uint64
+	// spinFree lists the free spin states of polls and output stalls (see
+	// spin), starting with spin0, so the first spin allocates nothing.
+	spinFree *spin
+	spin0    spin
 
 	// Statistics.
 	Sent          uint64
@@ -101,6 +105,8 @@ func Attach(p *glaze.Process) *EP {
 	ep.mSent = r.Counter("udm.sent")
 	ep.mDelivered = r.Counter("udm.delivered")
 	ep.mHandler = r.Histogram("udm.handler_cycles")
+	ep.spin0.p = p
+	ep.spinFree = &ep.spin0
 	p.Upcall = ep.upcall
 	ep.registerBulk()
 	return ep
@@ -138,7 +144,57 @@ func (ep *EP) Env(t *cpu.Task) *Env { return &Env{T: t, EP: ep} }
 // drains, honours overflow-control throttling, and charges the Table 4 send
 // cost: 7 cycles for a null message plus 3 per argument word.
 func (e *Env) Inject(dst int, handler uint64, args ...uint64) {
-	e.EP.inject(e.T, dst, handler, args)
+	ep := e.EP
+	ep.p.WaitThrottle(e.T)
+	ni := ep.p.NI()
+	need := len(args) + 2
+	for ni.SpaceAvailable() < need {
+		// Blocking-store semantics: the processor stalls a cycle at a time
+		// until the descriptor buffer drains or overflow control throttles
+		// the process. Interrupts still preempt.
+		s := ep.getSpin()
+		s.need = need
+		e.T.SpendWhile(1, (*stallSpin)(s))
+		ep.putSpin(s)
+		ep.p.WaitThrottle(e.T)
+	}
+	ep.injectReady(e.T, dst, handler, args)
+}
+
+// spin is the state of one cpu.Task.SpendWhile in progress on the
+// endpoint, read by the spin's condition: a poll loop's counter and target
+// (c nil for PollWait) or a stalled inject's descriptor words. Spins of the
+// endpoint's tasks overlap (a handler can stall while the main thread
+// polls), so each takes its own from the endpoint's free list. Held by
+// pointer, a spin passes as a cpu.Cond without allocating.
+type spin struct {
+	p      *glaze.Process
+	c      *Counter
+	target uint64
+	need   int
+	next   *spin // free-list link
+}
+
+func (ep *EP) getSpin() *spin {
+	s := ep.spinFree
+	if s == nil {
+		return &spin{p: ep.p}
+	}
+	ep.spinFree = s.next
+	return s
+}
+
+func (ep *EP) putSpin(s *spin) {
+	s.next = ep.spinFree
+	ep.spinFree = s
+}
+
+// stallSpin is the condition of Inject's one-cycle stall: the process is
+// not throttled and the descriptor buffer still lacks room for the message.
+type stallSpin spin
+
+func (s *stallSpin) Holds() bool {
+	return !s.p.Throttled() && s.p.NI().SpaceAvailable() < s.need
 }
 
 // InjectC is the conditional, non-blocking inject: it reports false without
@@ -153,19 +209,6 @@ func (e *Env) InjectC(dst int, handler uint64, args ...uint64) bool {
 	}
 	ep.injectReady(e.T, dst, handler, args)
 	return true
-}
-
-func (ep *EP) inject(t *cpu.Task, dst int, handler uint64, args []uint64) {
-	ep.p.WaitThrottle(t)
-	ni := ep.p.NI()
-	need := len(args) + 2
-	for ni.SpaceAvailable() < need {
-		// Blocking-store semantics: the processor stalls a cycle at a time
-		// until the descriptor buffer drains. Interrupts still preempt.
-		t.Spend(1)
-		ep.p.WaitThrottle(t)
-	}
-	ep.injectReady(t, dst, handler, args)
 }
 
 // injectReady performs describe+launch once space is known to be available.
@@ -207,6 +250,12 @@ func (e *Env) EndAtomic() {
 // Atomic reports whether the process currently holds user atomicity.
 func (e *Env) Atomic() bool {
 	return e.EP.p.NI().UAC()&nic.UACInterruptDisable != 0
+}
+
+// mayPoll reports whether p's tasks may poll: the process holds user
+// atomicity, or a revoked atomic section is still open.
+func mayPoll(p *glaze.Process) bool {
+	return p.NI().UAC()&nic.UACInterruptDisable != 0 || p.AtomicVirtual()
 }
 
 // Touch accesses a data address, taking a demand zero-fill page fault if
