@@ -13,6 +13,10 @@ import (
 // machinery all get exercised under arbitrary schedules. Every drained
 // record must read back word-for-word identical to what was pushed, in FIFO
 // order, and a fully drained buffer must return every frame to the pool.
+//
+// It calls the buffer directly, without Store.Admit or the policy registry;
+// FuzzStoreInsertDrain runs the same schedules through every policy's store
+// and carries this target's former committed corpus (its buffer-* files).
 func FuzzBufferInsertDrain(f *testing.F) {
 	f.Add([]byte{3, 10, 200, 3, 0, 7, 3, 3}, uint8(3))
 	f.Add([]byte{255, 255, 255, 255, 0, 1, 2, 3, 4, 5, 6, 7}, uint8(1))

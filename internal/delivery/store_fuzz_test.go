@@ -16,9 +16,9 @@ import (
 // drained store must hold exactly the pages it held at creation: none for
 // the kernel-buffered stores, the statically pinned ring for bypass.
 //
-// The committed corpus files named buffer-* hold the inputs of the former
-// virtual-buffer-only fuzz target, re-encoded so that twocase replays the
-// same pool size and the same sequence of push lengths and pops.
+// The committed corpus files named buffer-* hold FuzzBufferInsertDrain's
+// former corpus and its seeds, re-encoded so that twocase replays the same
+// pool size and the same sequence of push lengths and pops.
 func FuzzStoreInsertDrain(f *testing.F) {
 	f.Add([]byte{3, 10, 200, 3, 0, 7, 3, 3}, uint8(3))
 	f.Add([]byte{0x81, 255, 0x90, 255, 0xa0, 255, 3, 0, 3, 0, 3, 0}, uint8(0))
