@@ -196,8 +196,8 @@ func inspectCmd(args []string, stdout, stderr io.Writer) (string, int) {
 	}
 
 	code := 0
-	if tc, ok := res.(harness.TimelineCarrier); ok && obs&withTimeline != 0 {
-		if tl := tc.TimelineData(); !tl.Empty() {
+	if oc, ok := res.(harness.ObservationCarrier); ok && obs&withTimeline != 0 {
+		if tl := oc.Observed().Timeline; !tl.Empty() {
 			sum := tl.SumCounters()
 			fmt.Fprintf(w, "timeline: %d intervals of %d cycles (%d dropped from ring), final: fast=%d buffered=%d inserts=%d overflow=%d\n",
 				len(tl.Intervals), tl.Every, tl.Dropped,
@@ -271,16 +271,19 @@ func inspectCmd(args []string, stdout, stderr io.Writer) (string, int) {
 // writeArtifacts writes a replayed point's -metrics snapshot and -timeline
 // export, the same files `run` writes for a whole sweep.
 func writeArtifacts(common *commonFlags, name string, point int, label string, res any) error {
-	if mc, ok := res.(harness.MetricsCarrier); ok && *common.metricsDir != "" {
-		if err := writeMetrics(*common.metricsDir, name, mc.MetricsSnapshot()); err != nil {
+	oc, ok := res.(harness.ObservationCarrier)
+	if !ok {
+		return nil
+	}
+	o := oc.Observed()
+	if *common.metricsDir != "" {
+		if err := writeMetrics(*common.metricsDir, name, o.Metrics); err != nil {
 			return err
 		}
 	}
-	if tc, ok := res.(harness.TimelineCarrier); ok {
-		if tl := tc.TimelineData(); !tl.Empty() {
-			return common.writeTimelines(name,
-				[]telemetry.LabeledTimeline{{Point: point, Label: label, Timeline: tl}})
-		}
+	if !o.Timeline.Empty() {
+		return common.writeTimelines(name,
+			[]telemetry.LabeledTimeline{{Point: point, Label: label, Timeline: o.Timeline}})
 	}
 	return nil
 }
@@ -349,8 +352,8 @@ func writeOutput(path, text string, stdout io.Writer) error {
 // point, reconciling span counts with the point's delivery counters when
 // its result carries a metrics snapshot.
 func checkSpans(rec *spans.Recorder, res any, target string, stderr io.Writer) []string {
-	if mc, ok := res.(harness.MetricsCarrier); ok {
-		snap := mc.MetricsSnapshot()
+	if oc, ok := res.(harness.ObservationCarrier); ok {
+		snap := oc.Observed().Metrics
 		return rec.Check(snap.Counters["glaze.deliver.fast"], snap.Counters["glaze.deliver.buffered"])
 	}
 	// No snapshot to reconcile against: still require terminal states.

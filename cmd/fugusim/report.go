@@ -28,7 +28,7 @@ func writeWaterfall(w io.Writer, rec *spans.Recorder) {
 		bar := strings.Repeat("#", int(share/5))
 		fmt.Fprintf(w, "  %-12s %14d %6.1f%% %10d %10d %10d %10d %10d  %s\n",
 			st, totals[st], share, h.Count,
-			h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max, bar)
+			h.Quantile(50), h.Quantile(90), h.Quantile(99), h.Max, bar)
 	}
 	fmt.Fprintln(w)
 }

@@ -60,16 +60,15 @@ func NewRig(m *glaze.Machine, job *glaze.Job) *Rig {
 // HandlerMean returns the mean cycles per handled message across the job's
 // endpoints — the measured T_hand of Table 6.
 func (r *Rig) HandlerMean() float64 {
-	var sum float64
-	var n uint64
+	var sum, n uint64
 	for _, ep := range r.EPs {
-		sum += ep.HandlerCycles.Sum
-		n += ep.HandlerCycles.Count
+		sum += ep.HandlerCycles.Sum()
+		n += ep.HandlerCycles.Count()
 	}
 	if n == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	return float64(sum) / float64(n)
 }
 
 // Nodes returns the machine size.

@@ -36,7 +36,6 @@ func newRig(t *testing.T) *rig {
 func (r *rig) run(t *testing.T, fns map[int]func(tk *cpu.Task, c *Node)) {
 	t.Helper()
 	for node, fn := range fns {
-		node, fn := node, fn
 		r.job.Process(node).StartMain(func(tk *cpu.Task) { fn(tk, r.crl[node]) })
 	}
 	r.m.RunUntilDone(500_000_000, r.job)

@@ -1,4 +1,4 @@
-package stats
+package glaze
 
 import "testing"
 
@@ -24,21 +24,5 @@ func TestDeliveryAdd(t *testing.T) {
 	}
 	if a.String() == "" {
 		t.Error("empty String")
-	}
-}
-
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Error("empty mean != 0")
-	}
-	m.Observe(2)
-	m.Observe(4)
-	m.Observe(6)
-	if m.Value() != 4 {
-		t.Errorf("mean = %v, want 4", m.Value())
-	}
-	if m.Count != 3 {
-		t.Errorf("count = %d", m.Count)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fugu/internal/delivery"
 	"fugu/internal/metrics"
 	"fugu/internal/nic"
-	"fugu/internal/stats"
 	"fugu/internal/vm"
 )
 
@@ -61,7 +60,7 @@ type Process struct {
 	throttleW    *cpu.WaitQ
 
 	// Statistics.
-	Deliv           stats.Delivery
+	Deliv           Delivery
 	Revocations     uint64 // atomicity timeouts against this process
 	FaultsInHandler uint64
 
@@ -398,9 +397,40 @@ func (j *Job) mainDone(p *Process) {
 	}
 }
 
+// Delivery tallies how messages reached an application: directly from the
+// network interface (the fast case) or via the software buffer (the slow
+// case). This is the quantity behind Figures 7, 9 and 10.
+type Delivery struct {
+	Fast     uint64 // upcall or poll straight from the NI
+	Buffered uint64 // inserted into and handled from the virtual buffer
+}
+
+// Total returns all delivered messages.
+func (d Delivery) Total() uint64 { return d.Fast + d.Buffered }
+
+// BufferedPct returns the percentage of messages that took the buffered
+// path, 0 if none were delivered.
+func (d Delivery) BufferedPct() float64 {
+	t := d.Total()
+	if t == 0 {
+		return 0
+	}
+	return 100 * float64(d.Buffered) / float64(t)
+}
+
+// Add accumulates another tally.
+func (d *Delivery) Add(o Delivery) {
+	d.Fast += o.Fast
+	d.Buffered += o.Buffered
+}
+
+func (d Delivery) String() string {
+	return fmt.Sprintf("fast=%d buffered=%d (%.2f%%)", d.Fast, d.Buffered, d.BufferedPct())
+}
+
 // Delivery aggregates per-path delivery counts across the job's processes.
-func (j *Job) Delivery() stats.Delivery {
-	var d stats.Delivery
+func (j *Job) Delivery() Delivery {
+	var d Delivery
 	for _, p := range j.procs {
 		d.Add(p.Deliv)
 	}

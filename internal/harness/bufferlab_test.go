@@ -120,7 +120,6 @@ func TestBufferlabQueueModelPolicySweep(t *testing.T) {
 	}
 	for _, polName := range delivery.Names() {
 		for _, spec := range queues {
-			polName, spec := polName, spec
 			t.Run(polName+"/"+spec.Name(), func(t *testing.T) {
 				t.Parallel()
 				pol, err := delivery.ByName(polName)

@@ -56,16 +56,9 @@ func (r CRLStressResult) Print(w io.Writer) {
 // crlStressPoint carries one row plus the machine's metrics snapshot and
 // flight-recorder timeline.
 type crlStressPoint struct {
-	row  CRLStressRow
-	snap metrics.Snapshot
-	tl   telemetry.Timeline
+	row CRLStressRow
+	Observation
 }
-
-// MetricsSnapshot implements MetricsCarrier for the Runner's metrics hook.
-func (p crlStressPoint) MetricsSnapshot() metrics.Snapshot { return p.snap }
-
-// TimelineData implements TimelineCarrier for the Runner's timeline hook.
-func (p crlStressPoint) TimelineData() telemetry.Timeline { return p.tl }
 
 // RunCRLStressOnce executes a single stress point outside the sweep — the
 // bench subcommand's protocol-heavy workload. It returns the row plus the
@@ -76,7 +69,7 @@ func (p crlStressPoint) TimelineData() telemetry.Timeline { return p.tl }
 func RunCRLStressOnce(ops int, seed uint64, opts ...Option) (CRLStressRow, metrics.Snapshot, telemetry.Timeline) {
 	base := append([]Option{WithSeed(seed), WithTrials(1), WithQuick()}, opts...)
 	p := runCRLStress(ops, NewOptions(base...))
-	return p.row, p.snap, p.tl
+	return p.row, p.Metrics, p.Timeline
 }
 
 // crlStressExperiment sweeps the CRL stress workload over per-node op
@@ -196,7 +189,8 @@ func runCRLStress(ops int, opt Options) crlStressPoint {
 			Expected:  uint64(nodes * ops),
 			Cycles:    m.Eng.Now(),
 		},
-		tl:   m.FinishTelemetry(),
-		snap: m.MetricsSnapshot(),
+		// FinishTelemetry first, so the closing interval and the snapshot
+		// read the same state.
+		Observation: Observation{Timeline: m.FinishTelemetry(), Metrics: m.MetricsSnapshot()},
 	}
 }

@@ -260,10 +260,7 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 
 	tl := m.FinishTelemetry()
 	snap := m.MetricsSnapshot()
-	q := cfg.NIConfig.Queue
-	if q.Slots == 0 {
-		q.Slots = cfg.NIConfig.InputQueueDepth
-	}
+	q := cfg.NIConfig.Queue.Normalize()
 	row := LabRow{
 		Policy:         m.Policy().Name(),
 		KernelBuffered: m.Policy().KernelBuffered(),
@@ -278,7 +275,7 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 	}
 	row.Problems = crucibleOracles(m, job, rec, ownRec, snap, seen, sends)
 	row.Problems = append(row.Problems, crucibleTimelineOracles(tl)...)
-	return labPoint{row: row, snap: snap, timeline: tl}
+	return labPoint{row: row, Observation: Observation{Metrics: snap, Timeline: tl}}
 }
 
 // crucibleOracles checks the delivery invariants after one run:

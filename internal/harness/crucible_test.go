@@ -155,8 +155,8 @@ func TestFaultPolicySpanProperty(t *testing.T) {
 			rec := spans.NewRecorder(nil)
 			pt := runLab(plan, 0, NewOptions(WithQuick(), WithTrials(1), WithSeed(seed),
 				WithDeliveryPolicy(pol), WithSpans(rec)), cruciblePreset.load)
-			if probs := rec.Check(pt.snap.Counters["glaze.deliver.fast"],
-				pt.snap.Counters["glaze.deliver.buffered"]); len(probs) != 0 {
+			if probs := rec.Check(pt.Metrics.Counters["glaze.deliver.fast"],
+				pt.Metrics.Counters["glaze.deliver.buffered"]); len(probs) != 0 {
 				t.Logf("seed=%#x policy=%s: span invariants violated: %v", seed, polName, probs)
 				return false
 			}

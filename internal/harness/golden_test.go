@@ -78,7 +78,6 @@ func checkGolden(t *testing.T, name string, want map[string]string) {
 // TestGoldenCSVs pins the fast experiments' output byte-for-byte.
 func TestGoldenCSVs(t *testing.T) {
 	for name, want := range goldenFast {
-		name, want := name, want
 		t.Run(name, func(t *testing.T) { checkGolden(t, name, want) })
 	}
 }
@@ -150,7 +149,6 @@ func TestGoldenCSVsSlow(t *testing.T) {
 		t.Skip("slow golden experiments skipped in -short mode")
 	}
 	for name, want := range goldenSlow {
-		name, want := name, want
 		t.Run(name, func(t *testing.T) { checkGolden(t, name, want) })
 	}
 }

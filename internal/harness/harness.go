@@ -67,25 +67,11 @@ type RunStats struct {
 	MaxBufferPages int
 	TBetw, THand   float64
 	Err            error
-	// Metrics is the machine-wide registry snapshot taken at completion
-	// (per-node registries merged). Trials merge rather than average — see
-	// averageStats.
-	Metrics metrics.Snapshot
-	// Timeline is the run's flight-recorder timeline, empty unless
-	// telemetry sampling was enabled on the machine. Trials concatenate as
-	// distinct epochs — see averageStats.
-	Timeline telemetry.Timeline
+	// Observation is the machine-wide registry snapshot taken at
+	// completion (per-node registries merged) and the run's timeline.
+	// Trials merge and concatenate rather than average — see averageStats.
+	Observation
 }
-
-// MetricsSnapshot exposes the run's merged registry snapshot; RunStats
-// satisfies the Runner's MetricsCarrier, so sweeps built from application
-// runs feed the per-point metrics hook with no extra plumbing.
-func (r RunStats) MetricsSnapshot() metrics.Snapshot { return r.Metrics }
-
-// TimelineData exposes the run's timeline; RunStats satisfies the Runner's
-// TimelineCarrier, so sweeps built from application runs feed the
-// per-point timeline hook with no extra plumbing.
-func (r RunStats) TimelineData() telemetry.Timeline { return r.Timeline }
 
 // RunStandalone executes an instance alone on eight nodes (Table 6 rows).
 func RunStandalone(make func() apps.Instance, seed uint64) RunStats {
@@ -143,8 +129,7 @@ func collect(inst apps.Instance, job *glaze.Job, m *glaze.Machine, skew float64,
 		BufferedPct:    d.BufferedPct(),
 		MaxBufferPages: job.MaxBufferPages(),
 		Err:            inst.Check(),
-		Metrics:        m.MetricsSnapshot(),
-		Timeline:       tl,
+		Observation:    Observation{Metrics: m.MetricsSnapshot(), Timeline: tl},
 	}
 	rs.Msgs = d.Total()
 	if rs.Msgs > 0 {

@@ -8,7 +8,6 @@ import (
 
 	"fugu/internal/delivery"
 	"fugu/internal/faultinject"
-	"fugu/internal/metrics"
 	"fugu/internal/niq"
 	"fugu/internal/plot"
 	"fugu/internal/telemetry"
@@ -287,8 +286,9 @@ type LabRow struct {
 	Residency float64
 
 	// Delivery latency (injection to disposal) per path, from the per-path
-	// histograms: means, the overall maximum, p99s, and the buffer
-	// economics headline — overall p99 per pinned slot.
+	// histograms: means, the overall maximum, p99s capped at the path's
+	// maximum, and the buffer economics headline — overall p99 per pinned
+	// slot.
 	LatFastMean, LatBufMean float64
 	LatMax                  uint64
 	P99Fast, P99Buf         uint64
@@ -321,22 +321,15 @@ type LabRow struct {
 // labPoint carries one row plus the machine's metrics snapshot and
 // flight-recorder timeline.
 type labPoint struct {
-	row      LabRow
-	snap     metrics.Snapshot
-	timeline telemetry.Timeline
+	row LabRow
+	Observation
 }
-
-// MetricsSnapshot implements MetricsCarrier for the Runner's metrics hook.
-func (p labPoint) MetricsSnapshot() metrics.Snapshot { return p.snap }
-
-// TimelineData implements TimelineCarrier for the Runner's timeline hook.
-func (p labPoint) TimelineData() telemetry.Timeline { return p.timeline }
 
 // runLab runs one matrix point through the crucible workload and fills the
 // row's measured fields from the run's metrics snapshot and timeline.
 func runLab(pl cruciblePlan, trial int, opt Options, load crucibleLoad) labPoint {
 	pt := runCrucibleLoad(pl, trial, opt, load)
-	row, snap := &pt.row, pt.snap
+	row, snap := &pt.row, pt.Metrics
 	c := snap.Counters
 	row.Fast, row.Buffered = c["glaze.deliver.fast"], c["glaze.deliver.buffered"]
 	if total := row.Fast + row.Buffered; total > 0 {
@@ -346,11 +339,11 @@ func runLab(pl cruciblePlan, trial int, opt Options, load crucibleLoad) labPoint
 	if offered := row.Arrived + row.Refused; offered > 0 {
 		row.OverflowRate = float64(row.Refused) / float64(offered)
 	}
-	row.Residency = bufferedResidency(pt.timeline)
+	row.Residency = bufferedResidency(pt.Timeline)
 	hf := snap.Histograms["glaze.deliver.latency.fast"]
 	hb := snap.Histograms["glaze.deliver.latency.buffered"]
 	row.LatFastMean, row.LatBufMean, row.LatMax = hf.Mean(), hb.Mean(), max(hf.Max, hb.Max)
-	row.P99Fast, row.P99Buf = histP99(hf), histP99(hb)
+	row.P99Fast, row.P99Buf = min(hf.Quantile(99), hf.Max), min(hb.Quantile(99), hb.Max)
 	row.P99PerSlot = float64(max(row.P99Fast, row.P99Buf)) / float64(row.Slots)
 	row.PagesHighWater = snap.Gauges["glaze.buffer.pages"].Max
 	row.VMAllocs = c["glaze.buffer.insert_vmallocs"]
@@ -620,25 +613,4 @@ func bufferedResidency(tl telemetry.Timeline) float64 {
 		}
 	}
 	return float64(buffered) / float64(len(tl.Intervals))
-}
-
-// histP99 estimates the 99th percentile of an exported log2-bucket
-// histogram: the upper bound of the bucket where the cumulative count
-// crosses 99% (the same estimate the telemetry quantiles use).
-func histP99(h metrics.HistogramValue) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	need := h.Count - h.Count/100 // ceil semantics: rank of the p99 sample
-	var cum uint64
-	for _, bk := range h.Buckets {
-		cum += bk.Count
-		if cum >= need {
-			if bk.Le > h.Max {
-				return h.Max
-			}
-			return bk.Le
-		}
-	}
-	return h.Max
 }

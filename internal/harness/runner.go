@@ -12,17 +12,23 @@ import (
 	"fugu/internal/telemetry"
 )
 
-// MetricsCarrier is implemented by point results that carry a registry
-// snapshot (RunStats does); the Runner merges these for its OnMetrics hook.
-type MetricsCarrier interface {
-	MetricsSnapshot() metrics.Snapshot
+// Observation is what a point records of its machines besides its measured
+// values: their merged registry snapshot and their flight-recorder timeline
+// (empty unless telemetry sampling was enabled). Point results embed it.
+type Observation struct {
+	Metrics  metrics.Snapshot
+	Timeline telemetry.Timeline
 }
 
-// TimelineCarrier is implemented by point results that carry a flight-
-// recorder timeline (RunStats does when sampling is enabled); the Runner
-// feeds these to its OnTimeline hook.
-type TimelineCarrier interface {
-	TimelineData() telemetry.Timeline
+// Observed returns the observation itself, so every point result that
+// embeds an Observation is an ObservationCarrier.
+func (o Observation) Observed() Observation { return o }
+
+// ObservationCarrier is implemented by point results that embed an
+// Observation; the Runner merges their snapshots for its OnMetrics hook and
+// feeds their timelines to its OnTimeline hook.
+type ObservationCarrier interface {
+	Observed() Observation
 }
 
 // Progress reports one completed point to the Runner's callback.
@@ -127,16 +133,16 @@ func (r *Runner) Run(ctx context.Context, exp *Experiment, opts ...Option) (Resu
 	if r.OnMetrics != nil {
 		parts := make([]metrics.Snapshot, 0, len(results))
 		for _, res := range results {
-			if c, ok := res.(MetricsCarrier); ok {
-				parts = append(parts, c.MetricsSnapshot())
+			if c, ok := res.(ObservationCarrier); ok {
+				parts = append(parts, c.Observed().Metrics)
 			}
 		}
 		r.OnMetrics(metrics.Merge(parts...))
 	}
 	if r.OnTimeline != nil {
 		for i, res := range results {
-			if c, ok := res.(TimelineCarrier); ok {
-				if tl := c.TimelineData(); !tl.Empty() {
+			if c, ok := res.(ObservationCarrier); ok {
+				if tl := c.Observed().Timeline; !tl.Empty() {
 					r.OnTimeline(i, points[i].Label, tl)
 				}
 			}

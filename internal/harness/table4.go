@@ -38,16 +38,8 @@ var table4Impls = []glaze.AtomicityImpl{glaze.KernelMode, glaze.HardAtomicity, g
 // exactly one fast-path message, so glaze.deliver.fast counts the runs).
 type table4Point struct {
 	intr, poll uint64
-	metrics    metrics.Snapshot
-	timeline   telemetry.Timeline
+	Observation
 }
-
-// MetricsSnapshot implements MetricsCarrier for the Runner's metrics hook.
-func (p table4Point) MetricsSnapshot() metrics.Snapshot { return p.metrics }
-
-// TimelineData implements TimelineCarrier: the point's machines splice into
-// one timeline, each as its own epoch.
-func (p table4Point) TimelineData() telemetry.Timeline { return p.timeline }
 
 // Table4 reproduces the cycle counts to send and receive a null message.
 func Table4(opts ...Option) (Table4Result, error) {
@@ -120,11 +112,10 @@ func table4Rows() Table4Result {
 func measureNullMessage(impl glaze.AtomicityImpl, opt Options) table4Point {
 	intr, intrSnap, intrTL := measure(impl, opt, false)
 	poll, pollSnap, pollTL := measure(impl, opt, true)
-	return table4Point{
-		intr: intr, poll: poll,
-		metrics:  metrics.Merge(pollSnap, intrSnap),
-		timeline: telemetry.Concat(pollTL, intrTL),
-	}
+	return table4Point{intr: intr, poll: poll, Observation: Observation{
+		Metrics:  metrics.Merge(pollSnap, intrSnap),
+		Timeline: telemetry.Concat(pollTL, intrTL),
+	}}
 }
 
 // measure times one null message's receive path end to end on a two-node

@@ -7,9 +7,7 @@ import (
 
 	"fugu/internal/cpu"
 	"fugu/internal/glaze"
-	"fugu/internal/metrics"
 	"fugu/internal/plot"
-	"fugu/internal/telemetry"
 	"fugu/internal/udm"
 )
 
@@ -26,18 +24,10 @@ type Table5Result struct {
 	Inserts             uint64
 	VMAllocs            uint64
 
-	// Metrics is the microbenchmark machine's registry snapshot.
-	Metrics metrics.Snapshot
-	// Timeline is the machine's flight-recorder timeline (empty unless
-	// telemetry sampling is enabled).
-	Timeline telemetry.Timeline
+	// Observation is the microbenchmark machine's registry snapshot and
+	// timeline.
+	Observation
 }
-
-// MetricsSnapshot implements MetricsCarrier for the Runner's metrics hook.
-func (r Table5Result) MetricsSnapshot() metrics.Snapshot { return r.Metrics }
-
-// TimelineData implements TimelineCarrier for the Runner's timeline hook.
-func (r Table5Result) TimelineData() telemetry.Timeline { return r.Timeline }
 
 // Table5 runs the microbenchmark: a sender floods a receiver whose process
 // is not yet scheduled, so every message is inserted into the virtual
@@ -110,8 +100,7 @@ func table5Measure(mut func(*glaze.Config)) Table5Result {
 		Extract:       cm.BufferedNullHandler,
 		Inserts:       recv.Counter("glaze.buffer.inserts").Value(),
 		VMAllocs:      recv.Counter("glaze.buffer.insert_vmallocs").Value(),
-		Metrics:       m.MetricsSnapshot(),
-		Timeline:      tl,
+		Observation:   Observation{Metrics: m.MetricsSnapshot(), Timeline: tl},
 	}
 	if res.Inserts > 0 {
 		res.MeasuredInsertMean = float64(m.Nodes[1].Kernel.MismatchConsumed()) / float64(res.Inserts)

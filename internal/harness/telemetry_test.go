@@ -103,11 +103,11 @@ func TestTimelineReconciliationCrucible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("point %d (%s): %v", i, pt.Label, err)
 		}
-		c, ok := res.(TimelineCarrier)
+		c, ok := res.(ObservationCarrier)
 		if !ok {
 			t.Fatalf("crucible point %s result carries no timeline", pt.Label)
 		}
-		tl := c.TimelineData()
+		tl := c.Observed().Timeline
 		if tl.Empty() {
 			t.Fatalf("crucible point %s produced an empty timeline", pt.Label)
 		}

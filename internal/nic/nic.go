@@ -73,13 +73,12 @@ type Interrupts struct {
 
 // Config sets the hardware parameters of an NI.
 type Config struct {
-	InputQueueDepth int    // messages buffered in the receive queue
-	OutputWords     int    // send descriptor buffer capacity (16 in FUGU)
-	TimerPreset     uint64 // atomicity-timeout preset value
-	DrainPerWord    uint64 // cycles per word to drain the output buffer
-	// Queue selects the input-queue organization (see internal/niq). The
-	// zero value is the original static FIFO at InputQueueDepth slots,
-	// bit-identical to the pre-seam hardware.
+	OutputWords  int    // send descriptor buffer capacity (16 in FUGU)
+	TimerPreset  uint64 // atomicity-timeout preset value
+	DrainPerWord uint64 // cycles per word to drain the output buffer
+	// Queue selects the input-queue organization and its size in messages
+	// (see internal/niq). The zero value is the original static FIFO of
+	// niq.DefaultSlots messages, bit-identical to the pre-seam hardware.
 	Queue niq.Spec
 	// QueueAudit walks the queue's structural invariants (reserve
 	// guarantees, borrow accounting, list integrity) after every push and
@@ -93,7 +92,7 @@ type Config struct {
 // design ("may be changed without affecting correctness"); 2000 cycles is
 // comfortably above any reasonable handler.
 func DefaultConfig() Config {
-	return Config{InputQueueDepth: 16, OutputWords: 16, TimerPreset: 2000, DrainPerWord: 1}
+	return Config{OutputWords: 16, TimerPreset: 2000, DrainPerWord: 1}
 }
 
 // Offload is the receive-side offload engine of a hardware-demultiplexing
@@ -222,7 +221,7 @@ func (ni *NI) bindOffloadMetrics() {
 // main logical network.
 func New(eng *sim.Engine, net *mesh.Net, node int, cfg Config) *NI {
 	ni := &NI{eng: eng, net: net, node: node, cfg: cfg}
-	ni.q = niq.New(cfg.Queue, cfg.InputQueueDepth, net.Nodes())
+	ni.q = niq.New(cfg.Queue, 0, net.Nodes())
 	// The presentation predicates read the NI's live routing state, so the
 	// queue's head tracks GID and divert changes without re-binding. A
 	// multi-queue model uses them to keep the fast path alive when the

@@ -6,6 +6,7 @@ import (
 
 	"fugu/internal/mesh"
 	"fugu/internal/metrics"
+	"fugu/internal/niq"
 	"fugu/internal/sim"
 )
 
@@ -113,7 +114,7 @@ func TestEmptyLaunchIsNoop(t *testing.T) {
 }
 
 func TestDescriptorOverflowPanics(t *testing.T) {
-	r := newRig(t, Config{InputQueueDepth: 4, OutputWords: 4, TimerPreset: 100, DrainPerWord: 1})
+	r := newRig(t, Config{OutputWords: 4, TimerPreset: 100, DrainPerWord: 1, Queue: niq.Spec{Slots: 4}})
 	defer func() {
 		if recover() == nil {
 			t.Error("overflow did not panic")
@@ -320,7 +321,7 @@ func TestDisposeClearsDisposePending(t *testing.T) {
 
 func TestInputQueueBackpressure(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.InputQueueDepth = 2
+	cfg.Queue.Slots = 2
 	r := newRig(t, cfg)
 	reg := metrics.NewRegistry()
 	r.ni[1].UseMetrics(reg)

@@ -52,6 +52,10 @@ const (
 	PolicyHybrid = "hybrid" // half fair share reserved, the rest shared
 )
 
+// DefaultSlots is the pool size, in messages, of a spec that leaves Slots 0:
+// the FUGU NI's small single input queue.
+const DefaultSlots = 16
+
 // DefaultBypassBudget bounds how many times the globally oldest packet may be
 // bypassed by younger matching packets before the queue reverts to strict
 // FIFO presentation. It trades fast-path liveness under mismatch storms
@@ -66,12 +70,13 @@ func Models() []string { return []string{ModelFIFO, ModelDAMQ, ModelReserve} }
 func Policies() []string { return []string{PolicyStatic, PolicyDemand, PolicyHybrid} }
 
 // Spec selects an input-queue organization. The zero value means the default
-// hardware: a static FIFO at the NI's configured depth.
+// hardware: a static FIFO of DefaultSlots messages.
 type Spec struct {
 	Model  string // "", "fifo", "damq" or "reserve" ("" = fifo)
 	Policy string // "", "static", "demand" or "hybrid" ("" = model default)
-	// Slots is the total pool size in messages; 0 uses the NI's configured
-	// input-queue depth, so every model can be compared at equal SRAM.
+	// Slots is the total pool size in messages; 0 means DefaultSlots.
+	// Sweeps give every model the same count, to compare them at equal
+	// SRAM.
 	Slots int
 	// BypassBudget overrides DefaultBypassBudget; 0 keeps the default.
 	// Only the multi-queue models consult it.
@@ -92,14 +97,17 @@ func defaultPolicy(model string) string {
 	}
 }
 
-// Normalize fills the spec's defaulted fields (model, policy, budget) without
-// resolving Slots — that needs the NI's configured depth.
+// Normalize fills the spec's defaulted fields: model, policy, slots and
+// bypass budget.
 func (s Spec) Normalize() Spec {
 	if s.Model == "" {
 		s.Model = ModelFIFO
 	}
 	if s.Policy == "" {
 		s.Policy = defaultPolicy(s.Model)
+	}
+	if s.Slots == 0 {
+		s.Slots = DefaultSlots
 	}
 	if s.BypassBudget == 0 {
 		s.BypassBudget = DefaultBypassBudget
@@ -245,20 +253,17 @@ type InputQueue interface {
 	CheckInvariants() error
 }
 
-// New builds a queue from the spec. slots resolves Spec.Slots when it is 0
-// (the NI passes its configured depth); sources is the number of distinct
-// packet sources (mesh nodes).
+// New builds a queue from the spec; sources is the number of distinct packet
+// sources (mesh nodes). A spec that leaves Slots 0 gets slots messages, or
+// DefaultSlots when slots is 0 too.
 func New(spec Spec, slots, sources int) InputQueue {
-	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
 	if spec.Slots == 0 {
 		spec.Slots = slots
 	}
-	if spec.Slots <= 0 {
-		panic(fmt.Sprintf("niq: queue needs at least one slot, got %d", spec.Slots))
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
+	spec = spec.Normalize()
 	if spec.Model == ModelFIFO {
 		return newFIFO(spec)
 	}

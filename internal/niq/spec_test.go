@@ -127,7 +127,7 @@ func TestNewPanics(t *testing.T) {
 		f()
 	}
 	expectPanic("bad model", func() { New(Spec{Model: "srf"}, 8, 4) })
-	expectPanic("no slots", func() { New(Spec{}, 0, 4) })
+	expectPanic("negative slots", func() { New(Spec{Slots: -1}, 0, 4) })
 	expectPanic("fifo overfill", func() {
 		q := New(Spec{Slots: 1}, 0, 1)
 		q.Push(&mesh.Packet{Words: []uint64{0}})

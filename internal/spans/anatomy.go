@@ -11,65 +11,13 @@
 package spans
 
 import (
-	"math"
-	"math/bits"
 	"sort"
+
+	"fugu/internal/metrics"
 )
 
 // TopK bounds the slowest-message table a recorder retains.
 const TopK = 32
-
-// DwellHist is a 65-bucket log2 histogram of dwell cycles, the same
-// bucketing as internal/metrics (value v lands in bucket bits.Len64(v)),
-// but with exported quantile access for report rendering.
-type DwellHist struct {
-	Count   uint64
-	Sum     uint64
-	Max     uint64
-	Buckets [65]uint64
-}
-
-// Observe adds one dwell sample.
-func (h *DwellHist) Observe(v uint64) {
-	h.Count++
-	h.Sum += v
-	if v > h.Max {
-		h.Max = v
-	}
-	h.Buckets[bits.Len64(v)]++
-}
-
-// Quantile returns the log2 upper bound of the bucket containing the q-th
-// sample (q in [0,1]), 0 for an empty histogram. Like the metrics
-// exporters, quantiles are bucket upper bounds, not interpolations.
-func (h *DwellHist) Quantile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(h.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i, n := range h.Buckets {
-		seen += n
-		if seen >= rank {
-			return dwellBound(i)
-		}
-	}
-	return dwellBound(64)
-}
-
-// dwellBound is the inclusive upper bound of log2 bucket i.
-func dwellBound(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= 64 {
-		return math.MaxUint64
-	}
-	return (uint64(1) << uint(i)) - 1
-}
 
 // anatomyKey buckets dwell observations: one histogram per (delivery
 // policy, pipeline stage, stage-entry cause).
@@ -100,9 +48,9 @@ type linkKey struct{ src, dst int }
 type anatomy struct {
 	policy string
 
-	hists      map[anatomyKey]*DwellHist
-	stageHists [NumStages]DwellHist // merged across policy and cause
-	stageDwell [NumStages]uint64    // total dwell per stage, terminal spans
+	hists      map[anatomyKey]*metrics.Histogram
+	stageHists [NumStages]metrics.Histogram // merged across policy and cause
+	stageDwell [NumStages]uint64            // total dwell per stage, terminal spans
 	latencySum uint64
 	terminated uint64
 
@@ -136,11 +84,11 @@ func (a *anatomy) observe(s *Span) {
 		a.stageHists[ev.Stage].Observe(s.Dwell[ev.Stage])
 		k := anatomyKey{a.policy, ev.Stage, ev.Cause}
 		if a.hists == nil {
-			a.hists = make(map[anatomyKey]*DwellHist)
+			a.hists = make(map[anatomyKey]*metrics.Histogram)
 		}
 		h := a.hists[k]
 		if h == nil {
-			h = &DwellHist{}
+			h = &metrics.Histogram{}
 			a.hists[k] = h
 		}
 		h.Observe(s.Dwell[ev.Stage])
@@ -227,10 +175,11 @@ func (r *Recorder) Anatomy() []AnatomyRow {
 	}
 	out := make([]AnatomyRow, 0, len(r.anatomy.hists))
 	for k, h := range r.anatomy.hists {
+		v := h.Value()
 		out = append(out, AnatomyRow{
 			Policy: k.policy, Stage: k.stage, Cause: k.cause,
-			Count: h.Count, Sum: h.Sum, Max: h.Max,
-			P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
+			Count: v.Count, Sum: v.Sum, Max: v.Max,
+			P50: v.Quantile(50), P90: v.Quantile(90), P99: v.Quantile(99),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -247,11 +196,11 @@ func (r *Recorder) Anatomy() []AnatomyRow {
 
 // StageHist returns the dwell histogram of one stage merged across
 // policies and causes (only spans that visited the stage contribute).
-func (r *Recorder) StageHist(st Stage) DwellHist {
+func (r *Recorder) StageHist(st Stage) metrics.HistogramValue {
 	if r == nil || st >= NumStages {
-		return DwellHist{}
+		return metrics.HistogramValue{}
 	}
-	return r.anatomy.stageHists[st]
+	return r.anatomy.stageHists[st].Value()
 }
 
 // StageDwellTotals returns the cumulative dwell cycles per stage over all

@@ -175,28 +175,6 @@ func TestHistoryTimeline(t *testing.T) {
 	}
 }
 
-// TestDwellHistQuantile pins the log2 bucketing: quantiles are bucket upper
-// bounds, the same convention as internal/metrics.
-func TestDwellHistQuantile(t *testing.T) {
-	var h DwellHist
-	for _, v := range []uint64{0, 1, 2, 3, 100, 1000} {
-		h.Observe(v)
-	}
-	if h.Count != 6 || h.Max != 1000 {
-		t.Fatalf("hist = %+v", h)
-	}
-	if q := h.Quantile(0.5); q != 3 { // 3rd sample (value 2) -> bucket [2,3]
-		t.Errorf("p50 = %d, want 3", q)
-	}
-	if q := h.Quantile(1.0); q != 1023 { // 1000 -> bucket [512,1023]
-		t.Errorf("p100 = %d, want 1023", q)
-	}
-	var empty DwellHist
-	if empty.Quantile(0.9) != 0 {
-		t.Error("empty histogram quantile must be 0")
-	}
-}
-
 // TestNodeLinkHeat pins the heat aggregation.
 func TestNodeLinkHeat(t *testing.T) {
 	r := NewRecorder(nil)

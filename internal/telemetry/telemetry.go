@@ -50,10 +50,9 @@ type Config struct {
 func (c Config) Enabled() bool { return c.Every > 0 }
 
 // HistDelta is one histogram's activity within one interval: the count and
-// sum deltas plus quantile estimates computed from the interval's bucket
-// deltas. Quantiles are the log2-bucket upper bound at which the cumulative
-// interval count crosses the rank — exact integers, deterministic, and
-// conservative (a true p99 of 700 cycles reports as 1023).
+// sum deltas plus the percentiles of the interval's bucket deltas, read by
+// metrics.HistogramValue.Quantile (log2-bucket upper bounds, so a true p99
+// of 700 cycles reports as 1023).
 type HistDelta struct {
 	Count uint64 `json:"count"`
 	Sum   uint64 `json:"sum"`
@@ -315,17 +314,15 @@ func (r *Recorder) delta(s Sample) Interval {
 		}
 	}
 	for name, h := range s.Snap.Histograms {
-		prev := r.prev.Histograms[name]
-		dc := h.Count - prev.Count
-		if dc == 0 {
+		d := h.Sub(r.prev.Histograms[name])
+		if d.Count == 0 {
 			continue
 		}
 		if iv.Hists == nil {
 			iv.Hists = make(map[string]HistDelta)
 		}
-		hd := HistDelta{Count: dc, Sum: h.Sum - prev.Sum, Max: h.Max}
-		hd.P50, hd.P90, hd.P99 = bucketQuantiles(prev, h, dc)
-		iv.Hists[name] = hd
+		iv.Hists[name] = HistDelta{Count: d.Count, Sum: d.Sum, Max: h.Max,
+			P50: d.Quantile(50), P90: d.Quantile(90), P99: d.Quantile(99)}
 	}
 	for name, v := range s.Dwell {
 		if d := v - r.prevDwell[name]; d != 0 {
@@ -336,36 +333,6 @@ func (r *Recorder) delta(s Sample) Interval {
 		}
 	}
 	return iv
-}
-
-// bucketQuantiles estimates p50/p90/p99 of the interval's samples from the
-// two snapshots' bucket deltas.
-func bucketQuantiles(prev, cur metrics.HistogramValue, dc uint64) (p50, p90, p99 uint64) {
-	prevByLe := map[uint64]uint64{}
-	for _, bk := range prev.Buckets {
-		prevByLe[bk.Le] = bk.Count
-	}
-	// Ranks: smallest bound whose cumulative interval count reaches
-	// ceil(q * dc). Buckets are sorted by bound in a snapshot.
-	r50 := (dc*50 + 99) / 100
-	r90 := (dc*90 + 99) / 100
-	r99 := (dc*99 + 99) / 100
-	var cum uint64
-	var got50, got90 bool
-	for _, bk := range cur.Buckets {
-		cum += bk.Count - prevByLe[bk.Le]
-		if !got50 && cum >= r50 {
-			p50, got50 = bk.Le, true
-		}
-		if !got90 && cum >= r90 {
-			p90, got90 = bk.Le, true
-		}
-		if cum >= r99 {
-			p99 = bk.Le
-			break
-		}
-	}
-	return p50, p90, p99
 }
 
 // intervalActive reports whether the interval carries any counter,

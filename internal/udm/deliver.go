@@ -186,8 +186,9 @@ func (ep *EP) deliverBuffered(t *cpu.Task) {
 // observeDelivery records the cycles one delivery consumed — dispatch,
 // extraction and handler body together, the quantity Table 6 calls T_hand.
 func (ep *EP) observeDelivery(t *cpu.Task, before uint64) {
-	ep.HandlerCycles.Observe(float64(t.Consumed() - before))
-	ep.mHandler.Observe(t.Consumed() - before)
+	n := t.Consumed() - before
+	ep.HandlerCycles.Observe(n)
+	ep.mHandler.Observe(n)
 }
 
 // Poll checks for and delivers at most one message in the caller's context:

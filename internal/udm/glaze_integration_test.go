@@ -143,7 +143,7 @@ func TestGangOffsetsSpread(t *testing.T) {
 func TestOSNetworkIndependence(t *testing.T) {
 	cfg := glaze.DefaultConfig()
 	cfg.W, cfg.H = 2, 1
-	cfg.NIConfig.InputQueueDepth = 2
+	cfg.NIConfig.Queue.Slots = 2
 	m := glaze.NewMachine(cfg)
 	job := m.NewJob("clog")
 	ep0 := Attach(job.Process(0))

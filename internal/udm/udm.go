@@ -17,7 +17,6 @@ import (
 	"fugu/internal/glaze"
 	"fugu/internal/metrics"
 	"fugu/internal/nic"
-	"fugu/internal/stats"
 )
 
 // Handler is a user message handler, invoked once per incoming message with
@@ -82,9 +81,12 @@ type EP struct {
 	spin0    spin
 
 	// Statistics.
-	Sent          uint64
-	Delivered     uint64     // messages run through handlers on this node
-	HandlerCycles stats.Mean // cycles per delivery, handler body included
+	Sent      uint64
+	Delivered uint64 // messages run through handlers on this node
+	// HandlerCycles holds the cycles of each delivery, handler body
+	// included. It is this endpoint's own, not in the node registry,
+	// which the node's other processes share.
+	HandlerCycles metrics.Histogram
 
 	// Metrics instruments, bound to the process's node registry.
 	mSent      *metrics.Counter
