@@ -159,7 +159,9 @@ type enumNode struct {
 	self  int
 	nodes int
 
+	t     *cpu.Task // the main thread, which runs the expansions
 	stack []uint64
+	cur   uint64       // the state whose expansion is being spent
 	kids  []uint64     // scratch for the children of a shipped expansion
 	work  *udm.Counter // wakes the main loop on arrivals
 	black bool         // termination-detection colour
@@ -225,40 +227,13 @@ func (en *enumNode) register() {
 // run is the main search loop with Dijkstra-style token-ring termination.
 func (en *enumNode) run(t *cpu.Task) {
 	e := en.ep.Env(t)
-	s := en.app
+	en.t = t
 	for !en.done {
-		for len(en.stack) > 0 {
-			st := en.stack[len(en.stack)-1]
-			en.stack = en.stack[:len(en.stack)-1]
-			t.Spend(enumExpandCost)
-			s.expanded[en.self]++
-			// Shipping decisions hash the state, not the local expansion
-			// count, so the distribution of work across nodes is a pure
-			// function of the tree — runs differ in timing, never in
-			// placement, which keeps the runtime comparison across skews
-			// meaningful.
-			ship := s.ShipEvery > 0 && en.nodes > 1 && mix(st)%uint64(s.ShipEvery) == 0
-			var leaf bool
-			if ship {
-				en.kids = s.expand(st, en.kids[:0])
-				leaf = len(en.kids) == 0
-				for _, c := range en.kids {
-					dst := int(mix(c^0xabcd) % uint64(en.nodes-1))
-					if dst >= en.self {
-						dst++
-					}
-					en.sent++
-					en.ships++
-					e.Inject(dst, hEnumWork, c)
-				}
-			} else {
-				n := len(en.stack)
-				en.stack = s.expand(st, en.stack)
-				leaf = len(en.stack) == n
-			}
-			if leaf && bits.OnesCount64(st) == 1 {
-				s.solutions[en.self]++
-			}
+		if len(en.stack) > 0 {
+			// Expand the local stack until it empties: one expansion
+			// spend per state, each followed by a Step.
+			en.cur = en.pop()
+			t.SpendSteps(enumExpandCost, en)
 		}
 		// Idle: participate in termination detection. The origin throttles
 		// probe relaunches so an idle ring does not spin the network — the
@@ -278,6 +253,61 @@ func (en *enumNode) run(t *cpu.Task) {
 		target := en.work.Value() + 1
 		en.work.WaitFor(t, target)
 	}
+}
+
+func (en *enumNode) pop() uint64 {
+	st := en.stack[len(en.stack)-1]
+	en.stack = en.stack[:len(en.stack)-1]
+	return st
+}
+
+// shipped reports whether the expansion of st sends its children to other
+// nodes. Shipping decisions hash the state, not the local expansion count,
+// so the distribution of work across nodes is a pure function of the tree —
+// runs differ in timing, never in placement, which keeps the runtime
+// comparison across skews meaningful.
+func (en *enumNode) shipped(st uint64) bool {
+	s := en.app
+	return s.ShipEvery > 0 && en.nodes > 1 && mix(st)%uint64(s.ShipEvery) == 0
+}
+
+// Inline implements cpu.Stepper: a local expansion may run at the wake of
+// its spend; a shipping one injects, so it runs in the task.
+func (en *enumNode) Inline() bool { return !en.shipped(en.cur) }
+
+// Step implements cpu.Stepper: it expands the state whose cost was just
+// spent, then pops the next state and returns its expansion cost, until
+// the stack is empty.
+func (en *enumNode) Step() (uint64, bool) {
+	s, st := en.app, en.cur
+	s.expanded[en.self]++
+	var leaf bool
+	if en.shipped(st) {
+		e := en.ep.Env(en.t)
+		en.kids = s.expand(st, en.kids[:0])
+		leaf = len(en.kids) == 0
+		for _, c := range en.kids {
+			dst := int(mix(c^0xabcd) % uint64(en.nodes-1))
+			if dst >= en.self {
+				dst++
+			}
+			en.sent++
+			en.ships++
+			e.Inject(dst, hEnumWork, c)
+		}
+	} else {
+		n := len(en.stack)
+		en.stack = s.expand(st, en.stack)
+		leaf = len(en.stack) == n
+	}
+	if leaf && bits.OnesCount64(st) == 1 {
+		s.solutions[en.self]++
+	}
+	if len(en.stack) == 0 {
+		return 0, false
+	}
+	en.cur = en.pop()
+	return enumExpandCost, true
 }
 
 // probeCooldown is the origin's idle wait between termination probes.

@@ -71,9 +71,6 @@ type CPU struct {
 	running *Task
 
 	listeners []RunListener
-
-	// Cycle accounting by domain, plus idle derived from engine time.
-	spent [2]uint64
 }
 
 // New returns a CPU bound to the engine. name tags diagnostics (e.g. "cpu3").
@@ -86,9 +83,6 @@ func (c *CPU) Name() string { return c.name }
 
 // Running returns the task currently occupying the CPU, or nil when idle.
 func (c *CPU) Running() *Task { return c.running }
-
-// SpentCycles reports total cycles consumed in the given domain.
-func (c *CPU) SpentCycles(d Domain) uint64 { return c.spent[d] }
 
 // AddRunListener registers a listener for occupancy transitions.
 func (c *CPU) AddRunListener(l RunListener) {
@@ -230,6 +224,3 @@ func (c *CPU) ReadyCount() int {
 	}
 	return n
 }
-
-// Idle reports whether nothing is running or ready.
-func (c *CPU) Idle() bool { return c.running == nil && c.ReadyCount() == 0 }

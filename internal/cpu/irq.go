@@ -11,7 +11,6 @@ type IRQ struct {
 	task    *Task
 	handler func(*Task)
 	pending int
-	raised  uint64 // lifetime count, for stats and tests
 }
 
 // NewIRQ registers an interrupt vector on the CPU. handler runs once per
@@ -35,7 +34,6 @@ func (c *CPU) NewIRQ(name string, handler func(*Task)) *IRQ {
 // context. If the CPU is running lower-priority work it is preempted at its
 // next boundary (immediately, if it is mid-Spend).
 func (irq *IRQ) Raise() {
-	irq.raised++
 	irq.pending++
 	if irq.task.Blocked() {
 		irq.task.Unblock()
@@ -44,9 +42,6 @@ func (irq *IRQ) Raise() {
 
 // Pending reports queued, not-yet-handled raises.
 func (irq *IRQ) Pending() int { return irq.pending }
-
-// Raised reports the lifetime number of raises.
-func (irq *IRQ) Raised() uint64 { return irq.raised }
 
 // Name returns the vector's diagnostic name.
 func (irq *IRQ) Name() string { return irq.name }

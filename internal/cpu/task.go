@@ -47,10 +47,11 @@ type Task struct {
 
 	consumed uint64 // total cycles this task has spent
 
-	// SpendWhile state: the spend and the loop condition of the spin in
-	// progress, read by the proc's re-arm hook (spinHook).
-	spinN    uint64
-	spinCond Cond
+	// SpendSteps state: the Stepper of the sequence in progress, read by
+	// the proc's re-arm hook (stepHook), and the hook's note that a step
+	// it ran ended the sequence.
+	steps      Stepper
+	stepsEnded bool
 
 	// Scheduler gate (Suspend/Resume).
 	suspended  bool
@@ -136,82 +137,120 @@ func (t *Task) assertRunning() {
 func (t *Task) Spend(n uint64) {
 	t.assertRunning()
 	t.remaining += n
+	t.spend()
+}
+
+// spend runs the balance down, parking across preemptions. It returns early
+// only in a SpendSteps sequence, when a step run by the re-arm hook ended it.
+func (t *Task) spend() {
 	for {
 		if t.state == taskRunning && t.cpu.needResched(t) {
 			t.depose(true)
 		}
-		if t.state != taskRunning {
-			t.proc.Park()
-			continue
+		if t.state == taskRunning {
+			if t.remaining == 0 {
+				return
+			}
+			t.armSpend()
 		}
-		if t.remaining == 0 {
+		// The wake is either spend completion (remaining == 0, still
+		// running), a grant after preemption, or stale.
+		t.proc.Park()
+		if t.stepsEnded {
 			return
 		}
-		t.armSpend()
-		t.proc.Park()
-		// Loop: the wake was either spend completion (remaining == 0,
-		// still running), a re-grant after preemption, or stale.
 	}
 }
 
-// Cond is the loop condition of SpendWhile. Holds may be evaluated more
-// than once at one simulated time, in engine context as well as by the
-// task, so it must be cheap, must not block or spend, and must give the
-// same answer, with the same effect, each time it is asked at a fixed time
-// (an effect that happens only on a change, such as a fault window
-// opening, qualifies). Implement it on a pointer type, so passing it
-// allocates nothing.
-type Cond interface {
-	Holds() bool
+// Stepper is the work between the spends of a SpendSteps sequence.
+type Stepper interface {
+	// Step runs the work that follows a spend and returns the next spend;
+	// more is false when the sequence ends instead. A zero spend is a bare
+	// preemption point, as Spend(0) is.
+	Step() (n uint64, more bool)
+	// Inline reports whether the next Step may run in engine context, at
+	// the wake of the spend before it. It is asked only there, and must
+	// change nothing. A Step that may spend, block or trap into code that
+	// does must run in the task, so Inline answers false for it.
+	Inline() bool
 }
 
-// SpendWhile spends n cycles, and again n cycles, as long as cond holds
-// after each spend. It is exactly
+// SpendSteps spends n cycles, then runs s's steps, each followed by the
+// spend it returns, until a step ends the sequence. It is exactly
 //
 //	for {
 //		t.Spend(n)
-//		if !cond.Holds() {
+//		var more bool
+//		if n, more = s.Step(); !more {
 //			return
 //		}
 //	}
 //
-// — the same cycles, events and preemption points — but a spend that ends
-// with cond still holding is re-armed by the engine, at the spend's wake
-// event, without resuming the task's coroutine. A polling loop that finds
-// nothing therefore costs no coroutine switch per poll. n must be nonzero.
-func (t *Task) SpendWhile(n uint64, cond Cond) {
-	if n == 0 {
-		panic(fmt.Sprintf("cpu: %s SpendWhile(0)", t.name))
-	}
-	t.spinN, t.spinCond = n, cond
-	t.proc.SetRearm((*spinHook)(t))
+// with the same cycles, events and preemption points. But when a spend
+// ends with the task still running, its balance spent and no preemption
+// due, and s.Inline allows it, the proc's re-arm hook runs the next step at
+// the spend's wake and arms the spend after it, without resuming the task's
+// coroutine. Such a step runs in engine context with the engine's Current
+// reporting the task's proc, so whatever it readies is seen as readied by
+// the task. A sequence of cheap steps between spends, such as a polling
+// loop or a receive up to its handler, then costs no coroutine switch per
+// spend. A step the task runs itself spends plainly.
+func (t *Task) SpendSteps(n uint64, s Stepper) {
+	t.assertRunning()
+	outer := t.steps
+	t.steps = s
 	for {
-		t.Spend(n)
-		if !cond.Holds() {
+		t.remaining += n
+		t.proc.SetRearm((*stepHook)(t))
+		t.spend()
+		t.proc.SetRearm(nil)
+		if t.stepsEnded {
+			t.stepsEnded = false
+			break
+		}
+		var more bool
+		if n, more = s.Step(); !more {
 			break
 		}
 	}
-	t.proc.SetRearm(nil)
-	t.spinCond = nil
+	t.steps = outer
 }
 
-// spinHook is a Task in a SpendWhile, seen as its proc's sim.Rearmer.
-type spinHook Task
+// stepHook is a Task in a SpendSteps, seen as its proc's sim.Rearmer.
+type stepHook Task
 
-// Rearm runs, at a wake of the spinning task, the checks the task would run
-// on resuming: Spend returns only if the task is still the running one with
-// its balance spent and no preemption due, and SpendWhile then spends again
-// only if the condition holds. When all of that holds it arms the next
-// spend, as Spend would before parking; otherwise the task resumes.
-func (h *spinHook) Rearm() bool {
+// Rearm runs, at a wake of the task, what the task would run on resuming:
+// Spend returns only if the task is still the running one with its balance
+// spent and no preemption due, and SpendSteps then runs the next step and
+// spends what it returns. Unless all of that holds and the step may run
+// inline, the task resumes. A step that ends the sequence resumes the task
+// past its spend, with no second preemption check. A step that returns a
+// spend while a preemption is due keeps the balance and deposes the task,
+// as Spend would; otherwise the hook arms the spend, or, for a zero spend,
+// goes on to the next step.
+func (h *stepHook) Rearm() bool {
 	t := (*Task)(h)
-	if t.cpu.running != t || t.state != taskRunning || t.remaining != 0 ||
-		t.cpu.needResched(t) || !t.spinCond.Holds() {
+	c := t.cpu
+	if c.running != t || t.state != taskRunning || t.remaining != 0 || c.needResched(t) {
 		return false
 	}
-	t.remaining = t.spinN
-	t.armSpend()
-	return true
+	for t.steps.Inline() {
+		n, more := t.steps.Step()
+		if !more {
+			t.stepsEnded = true
+			return false
+		}
+		t.remaining = n
+		if c.needResched(t) {
+			t.depose(true)
+			return true
+		}
+		if n != 0 {
+			t.armSpend()
+			return true
+		}
+	}
+	return false
 }
 
 // armSpend schedules the completion event for the current balance.
@@ -239,10 +278,7 @@ func (t *Task) suspendSpend() {
 	t.remaining -= elapsed
 }
 
-func (t *Task) account(cycles uint64) {
-	t.consumed += cycles
-	t.cpu.spent[t.domain] += cycles
-}
+func (t *Task) account(cycles uint64) { t.consumed += cycles }
 
 // depose surrenders the CPU: the task goes back to its ready queue (at the
 // front when the surrender is involuntary) and the scheduler picks the next

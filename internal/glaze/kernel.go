@@ -387,6 +387,11 @@ func (k *Kernel) UserDispose(t *cpu.Task, p *Process) bool {
 	}
 }
 
+// PlainDispose reports whether UserDispose would now take its plain path:
+// the NI frees a matching head message, with no trap, no kernel emulation
+// and no cycles spent. It changes nothing.
+func (k *Kernel) PlainDispose() bool { return !k.hwDemux && k.ni.MessageAvailable() }
+
 // bypassDispose frees the head message of a hardware-demultiplexed ring:
 // the user-visible dispose under a kernel-bypass policy. It counts as a
 // fast-path disposal (the kernel never touched the message), clears

@@ -343,7 +343,7 @@ func runLab(pl cruciblePlan, trial int, opt Options, load crucibleLoad) labPoint
 	hf := snap.Histograms["glaze.deliver.latency.fast"]
 	hb := snap.Histograms["glaze.deliver.latency.buffered"]
 	row.LatFastMean, row.LatBufMean, row.LatMax = hf.Mean(), hb.Mean(), max(hf.Max, hb.Max)
-	row.P99Fast, row.P99Buf = min(hf.Quantile(99), hf.Max), min(hb.Quantile(99), hb.Max)
+	row.P99Fast, row.P99Buf = hf.Quantile(99), hb.Quantile(99)
 	row.P99PerSlot = float64(max(row.P99Fast, row.P99Buf)) / float64(row.Slots)
 	row.PagesHighWater = snap.Gauges["glaze.buffer.pages"].Max
 	row.VMAllocs = c["glaze.buffer.insert_vmallocs"]

@@ -54,16 +54,21 @@ func (h HistogramValue) Mean() float64 {
 }
 
 // Quantile returns the pct-th percentile (pct in 1..100) as the upper bound
-// of the bucket where the running count first reaches ceil(Count·pct/100).
-// It is the simulator's one percentile rule: exact integers, deterministic,
-// and conservative (a true p99 of 700 cycles reads 1023). An empty
-// histogram reads 0.
+// of the bucket where the running count first reaches ceil(Count·pct/100),
+// capped at Max when Max is known (nonzero), so no percentile reads above
+// the largest sample. It is the simulator's one percentile rule: exact
+// integers, deterministic, and conservative (a true p99 of 700 cycles
+// reads 1023 unless the largest sample is smaller). An empty histogram
+// reads 0, and a Sub delta, whose Max is 0, reads its bucket bound.
 func (h HistogramValue) Quantile(pct uint64) uint64 {
 	rank := (h.Count*pct + 99) / 100
 	var seen uint64
 	for _, bk := range h.Buckets {
 		seen += bk.Count
 		if seen >= rank {
+			if h.Max > 0 {
+				return min(bk.Le, h.Max)
+			}
 			return bk.Le
 		}
 	}

@@ -200,7 +200,7 @@ const lockstepSpend = 10
 
 // BenchmarkLockstepPoll is BenchmarkLockstepSpend with every proc spinning
 // under a Rearmer, the shape of barrier's polling wait under
-// cpu.Task.SpendWhile: the same events in the same order, but each wake is
+// cpu.Task.SpendSteps: the same events in the same order, but each wake is
 // re-armed by the engine instead of resuming the proc. One op is one
 // round: every proc polls once.
 func BenchmarkLockstepPoll(b *testing.B) {

@@ -41,6 +41,3 @@ func (c *Cond) Broadcast() int {
 	c.waiters = c.waiters[:0]
 	return n
 }
-
-// Waiters reports how many procs are parked on the cond.
-func (c *Cond) Waiters() int { return len(c.waiters) }

@@ -129,8 +129,8 @@ func TestRunUntilStepsPastPendingEvent(t *testing.T) {
 		if !h.Pending() {
 			t.Fatalf("event not pending at t=%d", tm)
 		}
-		if h.Time() != 1000 {
-			t.Fatalf("event time drifted to %d", h.Time())
+		if h.ev.at != 1000 {
+			t.Fatalf("event time drifted to %d", h.ev.at)
 		}
 		if e.Pending() != 1 {
 			t.Fatalf("queue length %d at t=%d, want 1", e.Pending(), tm)
@@ -359,15 +359,15 @@ func TestWheelHandle(t *testing.T) {
 		if far.ev.index == wheelIndex {
 			t.Fatal("an event three wheel widths out took the wheel")
 		}
-		if !hs[2].Pending() || hs[2].Time() != 13 {
-			t.Fatalf("wheel handle: Pending %v, Time %d; want true, 13", hs[2].Pending(), hs[2].Time())
+		if !hs[2].Pending() || hs[2].ev.at != 13 {
+			t.Fatalf("wheel handle: Pending %v, at %d; want true, 13", hs[2].Pending(), hs[2].ev.at)
 		}
 		if got := e.Pending(); got != 6 {
 			t.Fatalf("Pending() = %d with five wheel events and one heap event, want 6", got)
 		}
 		for _, i := range []int{0, 2, 4} { // head, middle, tail
 			e.Cancel(hs[i])
-			if hs[i].Pending() || hs[i].Time() != 0 {
+			if hs[i].Pending() {
 				t.Fatalf("cancelled wheel event %d still pending", i)
 			}
 		}

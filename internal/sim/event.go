@@ -52,12 +52,3 @@ type Handle struct {
 func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.index >= 0
 }
-
-// Time returns the simulation time at which the event will fire, or 0 if the
-// handle is no longer pending.
-func (h Handle) Time() uint64 {
-	if !h.Pending() {
-		return 0
-	}
-	return h.ev.at
-}

@@ -47,13 +47,17 @@ type Proc struct {
 // engine calls Rearm in place of the resume.
 //
 // Rearm runs in engine context, at the wake's time and at the point in the
-// event order where the resumed proc would run. It must either do exactly
-// what the proc would do on resuming before it parks again — the same
-// state changes and the same schedules, in the same order — and return
+// event order where the resumed proc would run, with Engine.Current
+// reporting the proc it acts for, so code that asks whether it runs for a
+// proc gets the answer it would get from the resumed proc. It must either
+// do exactly what the proc would do on resuming before it parks again — the
+// same state changes and the same schedules, in the same order — and return
 // true, or change nothing and return false, in which case the proc is
-// resumed as usual. Either way the wake is popped and counted as before, so
-// event order, sequence numbers and the engine's counters do not depend on
-// which path a wake takes.
+// resumed as usual. It may also do the first part of that work and return
+// false, leaving the rest to the proc, which must then know to skip the
+// part already done. Either way the wake is popped and counted as before,
+// so event order, sequence numbers and the engine's counters do not depend
+// on which path a wake takes.
 type Rearmer interface {
 	Rearm() bool
 }
@@ -94,11 +98,10 @@ func (e *Engine) dispatch(p *Proc) {
 		panic(fmt.Sprintf("sim: dispatch of finished proc %s", p.name))
 	}
 	p.wake = Handle{}
-	if p.rearm != nil && p.rearm.Rearm() {
-		return
-	}
 	e.current = p
-	p.resume()
+	if p.rearm == nil || !p.rearm.Rearm() {
+		p.resume()
+	}
 	e.current = nil
 }
 
@@ -168,8 +171,13 @@ func (p *Proc) park() {
 			// bookkeeping, then re-arm in place, resume in place, or hand
 			// off to the ancestor.
 			q.wake = Handle{}
-			if q.rearm != nil && q.rearm.Rearm() {
-				continue
+			if q.rearm != nil {
+				e.current = q
+				taken := q.rearm.Rearm()
+				e.current = nil
+				if taken {
+					continue
+				}
 			}
 			if q != p {
 				e.handoff = q

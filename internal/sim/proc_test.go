@@ -151,8 +151,8 @@ func TestCondFIFO(t *testing.T) {
 		})
 	}
 	e.Schedule(100, func() {
-		if c.Waiters() != 3 {
-			t.Errorf("Waiters = %d, want 3", c.Waiters())
+		if len(c.waiters) != 3 {
+			t.Errorf("%d waiters, want 3", len(c.waiters))
 		}
 		c.Signal()
 	})

@@ -27,50 +27,6 @@ func (ep *EP) upcall(t *cpu.Task) {
 	}
 }
 
-// extract reads the head message through the transparent-access
-// indirection, charging perWordCost per argument word, and disposes it.
-// By the time it returns, the message is out of the queue and the handler
-// may run and inject freely. The injection-to-disposal span lands in the
-// per-path end-to-end latency histogram.
-func (ep *EP) extract(t *cpu.Task, perWordCost uint64) *Msg {
-	p := ep.p
-	fast := !p.Buffered()
-	id, sentAt, haveHead := p.Head()
-	n := p.MsgLen()
-	if n < 2 {
-		panic(fmt.Sprintf("udm: malformed message of %d words", n))
-	}
-	m := ep.getMsg(n - 2)
-	m.Handler = p.MsgWord(1)
-	m.Fast = fast
-	for i := range m.Args {
-		m.Args[i] = p.MsgWord(2 + i)
-	}
-	if c := perWordCost * uint64(len(m.Args)); c > 0 {
-		t.Spend(c)
-	}
-	rec := p.Kernel().Machine().Spans
-	if rec != nil && haveHead {
-		rec.Dispatch(t.Now(), id, m.Handler)
-	}
-	fastDispose := p.Kernel().UserDispose(t, p)
-	if fast && !fastDispose {
-		// Mid-read mode flip: the word-read Spend above let a context switch
-		// divert the half-read head into the second-case store, so the
-		// dispose just drained it from there. The receive is charged and
-		// tallied as a fast delivery (the words came off the NI) while the
-		// kernel also booked the insert as a buffered one — tell the span
-		// recorder so reconciliation credits the span to both paths.
-		if rec != nil && haveHead {
-			rec.FlipFast(t.Now(), id, p.Node())
-		}
-	}
-	if haveHead {
-		p.ObserveLatency(fast, t.Now()-sentAt)
-	}
-	return m
-}
-
 // run dispatches the message to its registered handler, then recycles the
 // Msg and Env: both are handler-call-scoped (see Msg).
 func (ep *EP) run(t *cpu.Task, m *Msg) {
@@ -130,57 +86,33 @@ func (ep *EP) putEnv(e *Env) { ep.envFree = append(ep.envFree, e) }
 // deliverInterrupt is the fast-path interrupt receive of Table 4: stub
 // overhead, atomic handler execution, cleanup.
 func (ep *EP) deliverInterrupt(t *cpu.Task) {
-	defer ep.observeDelivery(t, t.Consumed())
-	p := ep.p
-	ni := p.NI()
-	t.Spend(ep.cost.RecvIntrPre())
-	// The message-available stub starts the handler in an atomic section
-	// and requires it to free a message before leaving it.
-	if trap := ni.BeginAtom(nic.UACInterruptDisable, false); trap != nic.TrapNone {
-		panic(fmt.Sprintf("udm: handler beginatom trapped %v", trap))
-	}
-	ni.SetUACKernel(nic.UACDisposePending, true)
-	m := ep.extract(t, ep.cost.RecvPerArg) // includes the dispose
-	t.Spend(ep.cost.NullHandler)
-	if m.Fast {
-		// Buffered messages were already tallied at kernel insert time;
-		// counting here too would double-book a mid-read mode flip.
-		p.CountDelivery(true)
-	}
+	m, before := ep.receive(ep.getSteps(t, stageAtom), pathInterrupt, ep.cost.RecvIntrPre())
 	ep.run(t, m)
-	p.Kernel().UserEndAtom(t, p, nic.UACInterruptDisable)
+	ep.p.Kernel().UserEndAtom(t, ep.p, nic.UACInterruptDisable)
 	t.Spend(ep.cost.RecvIntrPost())
-}
-
-// deliverPolled is the polling receive of Table 4 (9 cycles for a null
-// message). The caller must hold atomicity; the Poll cycle itself has
-// already been charged by Poll.
-func (ep *EP) deliverPolled(t *cpu.Task) {
-	defer ep.observeDelivery(t, t.Consumed())
-	p := ep.p
-	t.Spend(ep.cost.PollDispatch)
-	var m *Msg
-	if !p.Buffered() {
-		m = ep.extract(t, ep.cost.RecvPerArg)
-		t.Spend(ep.cost.PollNullHandler)
-	} else {
-		m = ep.extract(t, ep.cost.BufferedPerArgTimes2/2)
-		t.Spend(ep.cost.BufferedNullHandler)
-	}
-	if m.Fast {
-		p.CountDelivery(true)
-	}
-	ep.run(t, m)
+	ep.observeDelivery(t, before)
 }
 
 // deliverBuffered executes one handler from the software buffer (Table 5:
 // 52 cycles plus ~4.5 per argument word). Handler atomicity comes from the
 // elevated priority of the message-handling task, not from the UAC.
 func (ep *EP) deliverBuffered(t *cpu.Task) {
-	defer ep.observeDelivery(t, t.Consumed())
-	t.Spend(ep.cost.BufferedNullHandler)
-	m := ep.extract(t, ep.cost.BufferedPerArgTimes2/2)
+	m, before := ep.receive(ep.getSteps(t, stageRead), pathBuffered, ep.cost.BufferedNullHandler)
 	ep.run(t, m)
+	ep.observeDelivery(t, before)
+}
+
+// receive runs s as a receive on path up to its handler: one
+// cpu.Task.SpendSteps sequence starting with a spend of n cycles. Its
+// stages run at the wakes of their spends, so a receive resumes its task
+// once, for the handler. It returns the extracted message (nil when a poll
+// found none) and the task's cycles when the delivery began.
+func (ep *EP) receive(s *steps, path recvPath, n uint64) (*Msg, uint64) {
+	s.path = path
+	s.t.SpendSteps(n, s)
+	m, before := s.m, s.before
+	ep.putSteps(s)
+	return m, before
 }
 
 // observeDelivery records the cycles one delivery consumed — dispatch,
@@ -195,64 +127,247 @@ func (ep *EP) observeDelivery(t *cpu.Task, before uint64) {
 // the polling notification mode of the UDM model. The caller must be inside
 // an atomic section (BeginAtomic), or delivery would race the interrupt
 // path. Returns whether a message was handled.
-func (e *Env) Poll() bool {
-	e.mustHoldAtomicity("Poll")
-	e.T.Spend(e.EP.cost.Poll)
-	return e.deliverAny()
-}
+func (e *Env) Poll() bool { return e.poll(nil, 0, true) }
 
 // PollWait polls until at least one message has been handled. It burns
 // poll cycles, which is what a polling processor does: it is exactly
-// `for !e.Poll() {}`, with the empty polls spun by cpu.Task.SpendWhile.
+// `for !e.Poll() {}`.
 func (e *Env) PollWait() { e.pollUntil(nil, 0) }
 
 // PollFor polls until c reaches target, handling every message that
 // arrives meanwhile (the handlers are what advance c). It is exactly
-// `for c.Value() < target { e.Poll() }`, with the empty polls spun by
-// cpu.Task.SpendWhile, so a polling wait costs simulated cycles per poll
-// but no host coroutine switch per poll.
+// `for c.Value() < target { e.Poll() }`, so a polling wait costs simulated
+// cycles per poll.
 func (e *Env) PollFor(c *Counter, target uint64) { e.pollUntil(c, target) }
 
 // pollUntil is the loop of PollWait (c nil: until one message is handled)
-// and PollFor (until c reaches target). Each pass is one Poll whose empty
-// repeats run as one spin.
+// and PollFor (until c reaches target).
 func (e *Env) pollUntil(c *Counter, target uint64) {
-	ep := e.EP
 	for c == nil || c.n < target {
-		e.mustHoldAtomicity("Poll")
-		s := ep.getSpin()
-		s.c, s.target = c, target
-		e.T.SpendWhile(ep.cost.Poll, (*pollSpin)(s))
-		ep.putSpin(s)
-		if e.deliverAny() && c == nil {
+		if e.poll(c, target, false) && c == nil {
 			return
 		}
 	}
 }
 
-// pollSpin is the condition of a poll loop's spin: the poll found no
-// message, the loop has not reached its target, and the next pass's
-// atomicity check would pass.
-type pollSpin spin
-
-func (s *pollSpin) Holds() bool {
-	return !s.p.HaveMessage() && (s.c == nil || s.c.n < s.target) && mayPoll(s.p)
-}
-
-// deliverAny is the second half of a poll: deliver the head message if
-// there is one, and report whether there was.
-func (e *Env) deliverAny() bool {
-	if !e.EP.p.HaveMessage() {
+// poll is one pass of a poll loop, or with once set a single Poll: it polls
+// until a poll finds a message or the loop is done, and delivers the
+// message. The empty polls are steps of the receive, so they too cost no
+// host coroutine switch. It reports whether a message was handled.
+func (e *Env) poll(c *Counter, target uint64, once bool) bool {
+	ep := e.EP
+	ep.mustHoldAtomicity("Poll")
+	s := ep.getSteps(e.T, stagePoll)
+	s.c, s.target, s.once = c, target, once
+	m, before := ep.receive(s, pathPoll, ep.cost.Poll)
+	if m == nil {
 		return false
 	}
-	e.EP.deliverPolled(e.T)
+	ep.run(e.T, m)
+	ep.observeDelivery(e.T, before)
 	return true
 }
 
-// mustHoldAtomicity panics unless the caller may poll.
-func (e *Env) mustHoldAtomicity(op string) {
-	if !mayPoll(e.EP.p) {
+// mustHoldAtomicity panics unless the endpoint's tasks may poll.
+func (ep *EP) mustHoldAtomicity(op string) {
+	if !mayPoll(ep.p) {
 		panic("udm: " + op + " outside an atomic section")
+	}
+}
+
+// steps is one cpu.Task.SpendSteps sequence in progress on the endpoint: a
+// receive up to its handler, with a poll loop's empty polls, or a stalled
+// inject. Its stages are the work between the sequence's spends. Sequences
+// of the endpoint's tasks overlap (a handler can stall while the main
+// thread polls), so each takes its own from the endpoint's free list. Held
+// by pointer, it passes as a cpu.Stepper without allocating.
+type steps struct {
+	ep    *EP
+	t     *cpu.Task
+	path  recvPath
+	stage stage
+
+	// A poll loop: until a poll finds a message (c nil) or c reaches
+	// target, or for one poll only (once).
+	c      *Counter
+	target uint64
+	once   bool
+
+	// The delivery in progress: the extracted message (nil until read),
+	// the task's cycles when it began, and the head's span ID and send
+	// time.
+	m          *Msg
+	before     uint64
+	id, sentAt uint64
+	haveHead   bool
+
+	need int // a stalled inject's descriptor words
+
+	next *steps // free-list link
+}
+
+// recvPath selects a receive's costs: Table 4's polled and interrupt
+// receives and Table 5's buffered handler execution.
+type recvPath uint8
+
+const (
+	pathPoll recvPath = iota
+	pathInterrupt
+	pathBuffered
+)
+
+// stage is the work a steps runs after its current spend.
+type stage uint8
+
+const (
+	stagePoll    stage = iota // deliver the head, poll again, or stop
+	stageAtom                 // enter the handler's atomic section, then read
+	stageRead                 // read the head message, charge its arguments
+	stageDispose              // dispose, record latency, charge the null handler
+	stageCount                // tally a fast delivery; the handler runs next
+	stageStall                // an inject waits for descriptor space
+)
+
+func (ep *EP) getSteps(t *cpu.Task, first stage) *steps {
+	s := ep.stepsFree
+	if s == nil {
+		s = new(steps)
+	} else {
+		ep.stepsFree = s.next
+	}
+	*s = steps{ep: ep, t: t, stage: first, before: t.Consumed()}
+	return s
+}
+
+func (ep *EP) putSteps(s *steps) {
+	s.next = ep.stepsFree
+	ep.stepsFree = s
+}
+
+// Inline implements cpu.Stepper. Every stage may run at a spend's wake
+// except a dispose that would trap or spend: UserDispose's kernel paths
+// (dispose-extend in buffered mode, a kernel-bypass ring) run in the task.
+// A read stage reaches the dispose without a spend when the message has no
+// argument cost, so it asks the same. A poll that lost atomicity goes to the
+// task to panic there.
+func (s *steps) Inline() bool {
+	switch s.stage {
+	case stagePoll:
+		return mayPoll(s.ep.p)
+	case stageAtom, stageRead, stageDispose:
+		return s.ep.p.Kernel().PlainDispose()
+	}
+	return true
+}
+
+// Step implements cpu.Stepper.
+func (s *steps) Step() (uint64, bool) {
+	ep, p := s.ep, s.ep.p
+	switch s.stage {
+	case stagePoll:
+		if !p.HaveMessage() {
+			if s.once || s.c != nil && s.c.n >= s.target {
+				return 0, false
+			}
+			ep.mustHoldAtomicity("Poll")
+			return ep.cost.Poll, true
+		}
+		s.before = s.t.Consumed()
+		s.stage = stageRead
+		return ep.cost.PollDispatch, true
+	case stageAtom:
+		// The message-available stub starts the handler in an atomic
+		// section and requires it to free a message before leaving it.
+		ni := p.NI()
+		if trap := ni.BeginAtom(nic.UACInterruptDisable, false); trap != nic.TrapNone {
+			panic(fmt.Sprintf("udm: handler beginatom trapped %v", trap))
+		}
+		ni.SetUACKernel(nic.UACDisposePending, true)
+		return s.read()
+	case stageRead:
+		return s.read()
+	case stageDispose:
+		return s.dispose()
+	case stageCount:
+		if s.m.Fast {
+			// Buffered messages were already tallied at kernel insert
+			// time; counting here too would double-book a mid-read mode
+			// flip.
+			p.CountDelivery(true)
+		}
+		return 0, false
+	default: // stageStall
+		if !p.Throttled() && p.NI().SpaceAvailable() < s.need {
+			return 1, true
+		}
+		return 0, false
+	}
+}
+
+// read starts the extraction: it reads the head message through the
+// transparent-access indirection into a recycled Msg and charges the path's
+// cost per argument word.
+func (s *steps) read() (uint64, bool) {
+	ep, p := s.ep, s.ep.p
+	fast := !p.Buffered()
+	s.id, s.sentAt, s.haveHead = p.Head()
+	n := p.MsgLen()
+	if n < 2 {
+		panic(fmt.Sprintf("udm: malformed message of %d words", n))
+	}
+	m := ep.getMsg(n - 2)
+	m.Handler = p.MsgWord(1)
+	m.Fast = fast
+	for i := range m.Args {
+		m.Args[i] = p.MsgWord(2 + i)
+	}
+	s.m = m
+	s.stage = stageDispose
+	perWord := ep.cost.RecvPerArg
+	if s.path == pathBuffered || s.path == pathPoll && !fast {
+		perWord = ep.cost.BufferedPerArgTimes2 / 2
+	}
+	if c := perWord * uint64(len(m.Args)); c > 0 {
+		return c, true
+	}
+	return s.dispose()
+}
+
+// dispose ends the extraction: the message leaves the queue, so the
+// handler may run and inject freely, and the injection-to-disposal span
+// lands in the per-path end-to-end latency histogram. It returns the path's
+// null-handler spend; a buffered receive has none.
+func (s *steps) dispose() (uint64, bool) {
+	ep, p, m := s.ep, s.ep.p, s.m
+	rec := p.Kernel().Machine().Spans
+	if rec != nil && s.haveHead {
+		rec.Dispatch(s.t.Now(), s.id, m.Handler)
+	}
+	fastDispose := p.Kernel().UserDispose(s.t, p)
+	if m.Fast && !fastDispose {
+		// Mid-read mode flip: the word-read spend let a context switch
+		// divert the half-read head into the second-case store, so the
+		// dispose just drained it from there. The receive is charged and
+		// tallied as a fast delivery (the words came off the NI) while the
+		// kernel also booked the insert as a buffered one — tell the span
+		// recorder so reconciliation credits the span to both paths.
+		if rec != nil && s.haveHead {
+			rec.FlipFast(s.t.Now(), s.id, p.Node())
+		}
+	}
+	if s.haveHead {
+		p.ObserveLatency(m.Fast, s.t.Now()-s.sentAt)
+	}
+	s.stage = stageCount
+	switch {
+	case s.path == pathInterrupt:
+		return ep.cost.NullHandler, true
+	case s.path == pathBuffered:
+		return 0, false
+	case m.Fast:
+		return ep.cost.PollNullHandler, true
+	default:
+		return ep.cost.BufferedNullHandler, true
 	}
 }
 
@@ -262,7 +377,7 @@ func (e *Env) mustHoldAtomicity(op string) {
 // EndAtomic) performs the actual extraction.
 func (e *Env) Peek() *Msg {
 	ep := e.EP
-	e.mustHoldAtomicity("Peek")
+	ep.mustHoldAtomicity("Peek")
 	e.T.Spend(ep.cost.Poll)
 	p := ep.p
 	if !p.HaveMessage() {

@@ -75,10 +75,11 @@ type EP struct {
 	envFree []*Env
 	// scratchFree recycles the payload slices handed out by Scratch.
 	scratchFree [][]uint64
-	// spinFree lists the free spin states of polls and output stalls (see
-	// spin), starting with spin0, so the first spin allocates nothing.
-	spinFree *spin
-	spin0    spin
+	// stepsFree lists the free states of receives and output stalls (see
+	// steps), starting with steps0, so neither the first nor a receive of
+	// the message-handling activity overlapping it allocates.
+	stepsFree *steps
+	steps0    [2]steps
 
 	// Statistics.
 	Sent      uint64
@@ -107,8 +108,8 @@ func Attach(p *glaze.Process) *EP {
 	ep.mSent = r.Counter("udm.sent")
 	ep.mDelivered = r.Counter("udm.delivered")
 	ep.mHandler = r.Histogram("udm.handler_cycles")
-	ep.spin0.p = p
-	ep.spinFree = &ep.spin0
+	ep.steps0[0].next = &ep.steps0[1]
+	ep.stepsFree = &ep.steps0[0]
 	p.Upcall = ep.upcall
 	ep.registerBulk()
 	return ep
@@ -154,49 +155,13 @@ func (e *Env) Inject(dst int, handler uint64, args ...uint64) {
 		// Blocking-store semantics: the processor stalls a cycle at a time
 		// until the descriptor buffer drains or overflow control throttles
 		// the process. Interrupts still preempt.
-		s := ep.getSpin()
+		s := ep.getSteps(e.T, stageStall)
 		s.need = need
-		e.T.SpendWhile(1, (*stallSpin)(s))
-		ep.putSpin(s)
+		e.T.SpendSteps(1, s)
+		ep.putSteps(s)
 		ep.p.WaitThrottle(e.T)
 	}
 	ep.injectReady(e.T, dst, handler, args)
-}
-
-// spin is the state of one cpu.Task.SpendWhile in progress on the
-// endpoint, read by the spin's condition: a poll loop's counter and target
-// (c nil for PollWait) or a stalled inject's descriptor words. Spins of the
-// endpoint's tasks overlap (a handler can stall while the main thread
-// polls), so each takes its own from the endpoint's free list. Held by
-// pointer, a spin passes as a cpu.Cond without allocating.
-type spin struct {
-	p      *glaze.Process
-	c      *Counter
-	target uint64
-	need   int
-	next   *spin // free-list link
-}
-
-func (ep *EP) getSpin() *spin {
-	s := ep.spinFree
-	if s == nil {
-		return &spin{p: ep.p}
-	}
-	ep.spinFree = s.next
-	return s
-}
-
-func (ep *EP) putSpin(s *spin) {
-	s.next = ep.spinFree
-	ep.spinFree = s
-}
-
-// stallSpin is the condition of Inject's one-cycle stall: the process is
-// not throttled and the descriptor buffer still lacks room for the message.
-type stallSpin spin
-
-func (s *stallSpin) Holds() bool {
-	return !s.p.Throttled() && s.p.NI().SpaceAvailable() < s.need
 }
 
 // InjectC is the conditional, non-blocking inject: it reports false without

@@ -1,10 +1,12 @@
 package udm
 
 import (
+	"strings"
 	"testing"
 
 	"fugu/internal/cpu"
 	"fugu/internal/glaze"
+	"fugu/internal/nic"
 )
 
 // testMachine builds a 2x1 machine with one job scheduled solo (huge
@@ -133,6 +135,42 @@ func TestPollOutsideAtomicPanics(t *testing.T) {
 	m.RunUntilDone(0, job)
 	if !panicked {
 		t.Error("Poll outside atomic section did not panic")
+	}
+}
+
+// TestPolledReceiveStagesRunAtWakes checks that a polled receive runs its
+// stages before the handler in the event loop, at the wakes of their
+// spends, rather than resuming the polling task for each. A malformed
+// one-word message makes the read stage panic: run by the task, the panic
+// would reach the task's own recover; run at the wake of the dispatch
+// spend, it leaves through the engine's caller instead.
+func TestPolledReceiveStagesRunAtWakes(t *testing.T) {
+	m, job, eps := testMachine(t, nil)
+	var inTask any
+	job.Process(1).StartMain(func(tk *cpu.Task) {
+		defer func() { inTask = recover() }()
+		e := eps[1].Env(tk)
+		e.BeginAtomic()
+		e.PollWait()
+	})
+	job.Process(0).StartMain(func(tk *cpu.Task) {
+		tk.Spend(50)
+		ni := job.Process(0).NI()
+		ni.Describe(nic.MakeHeader(1))
+		if trap := ni.Launch(false); trap != nic.TrapNone {
+			t.Errorf("launch trapped %v", trap)
+		}
+	})
+	var inEngine any
+	func() {
+		defer func() { inEngine = recover() }()
+		m.RunUntilDone(0, job)
+	}()
+	if inTask != nil {
+		t.Fatalf("the polling task recovered %q: its read stage ran in the task", inTask)
+	}
+	if msg, _ := inEngine.(string); !strings.Contains(msg, "malformed message") {
+		t.Fatalf("the engine's caller recovered %v, want the read stage's malformed-message panic", inEngine)
 	}
 }
 
