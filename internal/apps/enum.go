@@ -278,7 +278,7 @@ func (en *enumNode) Inline() bool { return !en.shipped(en.cur) }
 // Step implements cpu.Stepper: it expands the state whose cost was just
 // spent, then pops the next state and returns its expansion cost, until
 // the stack is empty.
-func (en *enumNode) Step() (uint64, bool) {
+func (en *enumNode) Step() (uint64, *cpu.WaitQ, bool) {
 	s, st := en.app, en.cur
 	s.expanded[en.self]++
 	var leaf bool
@@ -304,10 +304,10 @@ func (en *enumNode) Step() (uint64, bool) {
 		s.solutions[en.self]++
 	}
 	if len(en.stack) == 0 {
-		return 0, false
+		return 0, nil, false
 	}
 	en.cur = en.pop()
-	return enumExpandCost, true
+	return enumExpandCost, nil, true
 }
 
 // probeCooldown is the origin's idle wait between termination probes.

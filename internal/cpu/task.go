@@ -47,11 +47,16 @@ type Task struct {
 
 	consumed uint64 // total cycles this task has spent
 
-	// SpendSteps state: the Stepper of the sequence in progress, read by
-	// the proc's re-arm hook (stepHook), and the hook's note that a step
-	// it ran ended the sequence.
+	// Step-sequence state (SpendSteps, Steps): the Stepper of the sequence
+	// whose spend or wait the task is in, read by the proc's re-arm hook
+	// (rearmer) and nil while the task runs a step itself, and the hook's
+	// note that a step it ran ended the sequence.
 	steps      Stepper
 	stepsEnded bool
+
+	// waitQ is the queue the task blocked on, kept until the task takes
+	// the grant that ends the wait.
+	waitQ *WaitQ
 
 	// Scheduler gate (Suspend/Resume).
 	suspended  bool
@@ -102,6 +107,7 @@ func (t *Task) waitGrant() {
 	for t.state != taskRunning {
 		t.proc.Park()
 	}
+	t.waitQ = nil
 }
 
 // Name returns the task's diagnostic name.
@@ -112,6 +118,19 @@ func (t *Task) Domain() Domain { return t.domain }
 
 // Consumed reports total cycles the task has spent.
 func (t *Task) Consumed() uint64 { return t.consumed }
+
+// Resumes reports how many times the task's coroutine has been resumed
+// from a park (sim.Proc.Resumes); wakes its re-arm hook takes do not count.
+func (t *Task) Resumes() uint64 { return t.proc.Resumes() }
+
+// BlockedOn names the wait queue the task is blocked on, or returns "" when
+// it is not blocked on one.
+func (t *Task) BlockedOn() string {
+	if t.state != taskBlocked || t.waitQ == nil {
+		return ""
+	}
+	return t.waitQ.name
+}
 
 // Done reports whether the task function has returned.
 func (t *Task) Done() bool { return t.state == taskDone }
@@ -140,21 +159,28 @@ func (t *Task) Spend(n uint64) {
 	t.spend()
 }
 
-// spend runs the balance down, parking across preemptions. It returns early
-// only in a SpendSteps sequence, when a step run by the re-arm hook ended it.
+// spend runs the balance down, parking across preemptions. In a step
+// sequence it also waits out a step's wait: once the task holds the CPU
+// again it returns with no preemption check, as code after q.Wait runs. It
+// returns early only in a sequence, when a step run by the re-arm hook
+// ended it.
 func (t *Task) spend() {
 	for {
-		if t.state == taskRunning && t.cpu.needResched(t) {
-			t.depose(true)
-		}
 		if t.state == taskRunning {
-			if t.remaining == 0 {
+			if t.waitQ != nil {
+				t.waitQ = nil
 				return
 			}
-			t.armSpend()
+			if t.cpu.needResched(t) {
+				t.depose(true)
+			} else if t.remaining == 0 {
+				return
+			} else {
+				t.armSpend()
+			}
 		}
 		// The wake is either spend completion (remaining == 0, still
-		// running), a grant after preemption, or stale.
+		// running), a grant after preemption or a wait, or stale.
 		t.proc.Park()
 		if t.stepsEnded {
 			return
@@ -162,83 +188,137 @@ func (t *Task) spend() {
 	}
 }
 
-// Stepper is the work between the spends of a SpendSteps sequence.
+// Stepper is the work between the spends and waits of a step sequence
+// (SpendSteps, Steps).
 type Stepper interface {
-	// Step runs the work that follows a spend and returns the next spend;
-	// more is false when the sequence ends instead. A zero spend is a bare
+	// Step runs the work that follows a spend or a wait and returns what
+	// comes next: a spend of n cycles, or with w non-nil a wait on w. more
+	// is false when the sequence ends instead. A zero spend is a bare
 	// preemption point, as Spend(0) is.
-	Step() (n uint64, more bool)
+	Step() (n uint64, w *WaitQ, more bool)
 	// Inline reports whether the next Step may run in engine context, at
-	// the wake of the spend before it. It is asked only there, and must
-	// change nothing. A Step that may spend, block or trap into code that
-	// does must run in the task, so Inline answers false for it.
+	// the wake that ends the spend or wait before it. It is asked only
+	// there, and must change nothing. A Step that may spend, block or trap
+	// into code that does must run in the task, so Inline answers false
+	// for it.
 	Inline() bool
 }
 
 // SpendSteps spends n cycles, then runs s's steps, each followed by the
-// spend it returns, until a step ends the sequence. It is exactly
+// spend or wait it returns, until a step ends the sequence. It is exactly
 //
 //	for {
-//		t.Spend(n)
+//		if w != nil {
+//			w.Wait(t)
+//		} else {
+//			t.Spend(n)
+//		}
 //		var more bool
-//		if n, more = s.Step(); !more {
+//		if n, w, more = s.Step(); !more {
 //			return
 //		}
 //	}
 //
-// with the same cycles, events and preemption points. But when a spend
-// ends with the task still running, its balance spent and no preemption
-// due, and s.Inline allows it, the proc's re-arm hook runs the next step at
-// the spend's wake and arms the spend after it, without resuming the task's
-// coroutine. Such a step runs in engine context with the engine's Current
-// reporting the task's proc, so whatever it readies is seen as readied by
-// the task. A sequence of cheap steps between spends, such as a polling
-// loop or a receive up to its handler, then costs no coroutine switch per
-// spend. A step the task runs itself spends plainly.
+// starting with w nil, with the same cycles, events and preemption points.
+// But when a spend ends with the task still running, its balance spent and
+// no preemption due, or a wait ends with the task granted the CPU, and
+// s.Inline allows it, the proc's re-arm hook runs the next step at that
+// wake and arms the spend or enters the wait after it, without resuming
+// the task's coroutine. Such a step runs in engine context with the
+// engine's Current reporting the task's proc, so whatever it readies is
+// seen as readied by the task. A sequence of cheap steps between spends,
+// such as a polling loop or a receive up to its handler, then costs no
+// coroutine switch per spend. A step the task runs itself spends plainly.
 func (t *Task) SpendSteps(n uint64, s Stepper) {
 	t.assertRunning()
-	outer := t.steps
-	t.steps = s
+	t.runSteps(s, n, nil)
+}
+
+// Steps is SpendSteps with no spend first: the task runs s's first step
+// itself, then goes on as SpendSteps does with the spend or wait it
+// returns.
+func (t *Task) Steps(s Stepper) {
+	t.assertRunning()
+	if n, w, more := s.Step(); more {
+		t.runSteps(s, n, w)
+	}
+}
+
+// runSteps is the loop of SpendSteps from a spend of n or, with w non-nil,
+// a wait on w. While the task is in the sequence's spends and waits, its
+// proc carries the re-arm hook and t.steps is s; while it runs a step
+// itself, neither, so the step's own spends are plain and a sequence inside
+// it nests.
+func (t *Task) runSteps(s Stepper, n uint64, w *WaitQ) {
 	for {
-		t.remaining += n
-		t.proc.SetRearm((*stepHook)(t))
+		t.steps = s
+		t.proc.SetRearm((*rearmer)(t))
+		if w != nil {
+			w.block(t)
+		} else {
+			t.assertRunning()
+			t.remaining += n
+		}
 		t.spend()
+		t.steps = nil
 		t.proc.SetRearm(nil)
 		if t.stepsEnded {
 			t.stepsEnded = false
-			break
+			return
 		}
 		var more bool
-		if n, more = s.Step(); !more {
-			break
+		if n, w, more = s.Step(); !more {
+			return
 		}
 	}
-	t.steps = outer
 }
 
-// stepHook is a Task in a SpendSteps, seen as its proc's sim.Rearmer.
-type stepHook Task
+// rearmer is a Task seen as its proc's sim.Rearmer: the hook runSteps
+// installs for a sequence, and depose and Suspend for a plain Spend, so the
+// grant that gives the CPU back re-arms the balance.
+type rearmer Task
 
-// Rearm runs, at a wake of the task, what the task would run on resuming:
-// Spend returns only if the task is still the running one with its balance
-// spent and no preemption due, and SpendSteps then runs the next step and
-// spends what it returns. Unless all of that holds and the step may run
-// inline, the task resumes. A step that ends the sequence resumes the task
-// past its spend, with no second preemption check. A step that returns a
-// spend while a preemption is due keeps the balance and deposes the task,
-// as Spend would; otherwise the hook arms the spend, or, for a zero spend,
-// goes on to the next step.
-func (h *stepHook) Rearm() bool {
+// Rearm runs, at a wake of the task, what the task would run on resuming.
+// A stale wake leaves it parked. A spend with balance left is re-armed, or
+// the task deposed if a preemption is due. A plain Spend that is over
+// resumes the task and removes the hook. In a sequence, a spend over with
+// no preemption due, or a wait over (with no preemption check, as after
+// q.Wait), is followed by the next step if s.Inline allows it, and the
+// hook acts on what the step returns as the task would: it arms a spend,
+// or keeps it as the balance and deposes the task if a preemption is due,
+// goes on after a zero spend, or enters a wait. A step that ends the
+// sequence resumes the task past its spend or wait, with no second
+// preemption check; a step Inline refuses resumes the task to run it.
+func (h *rearmer) Rearm() bool {
 	t := (*Task)(h)
 	c := t.cpu
-	if c.running != t || t.state != taskRunning || t.remaining != 0 || c.needResched(t) {
+	if c.running != t || t.state != taskRunning {
+		return true
+	}
+	if t.waitQ == nil && (t.remaining != 0 || t.steps != nil) {
+		if c.needResched(t) {
+			t.depose(true)
+			return true
+		}
+		if t.remaining != 0 {
+			t.armSpend()
+			return true
+		}
+	}
+	if t.steps == nil {
+		t.proc.SetRearm(nil)
 		return false
 	}
 	for t.steps.Inline() {
-		n, more := t.steps.Step()
+		t.waitQ = nil
+		n, w, more := t.steps.Step()
 		if !more {
 			t.stepsEnded = true
 			return false
+		}
+		if w != nil {
+			w.block(t)
+			return true
 		}
 		t.remaining = n
 		if c.needResched(t) {
@@ -282,13 +362,15 @@ func (t *Task) account(cycles uint64) { t.consumed += cycles }
 
 // depose surrenders the CPU: the task goes back to its ready queue (at the
 // front when the surrender is involuntary) and the scheduler picks the next
-// task. The caller is responsible for parking afterwards.
+// task. The caller is responsible for parking afterwards; the re-arm hook
+// takes the grant that ends the wait.
 func (t *Task) depose(front bool) {
 	c := t.cpu
 	t.state = taskReady
 	c.enqueue(t, front)
 	c.running = nil
 	c.notifyRun(t, nil)
+	t.proc.SetRearm((*rearmer)(t))
 	c.schedule()
 }
 
@@ -345,6 +427,7 @@ func (t *Task) Suspend() {
 		t.state = taskSuspended
 		t.cpu.running = nil
 		t.cpu.notifyRun(t, nil)
+		t.proc.SetRearm((*rearmer)(t))
 		t.cpu.schedule()
 	}
 }
@@ -400,8 +483,18 @@ func NewWaitQ(name string) *WaitQ { return &WaitQ{name: name} }
 // Wait blocks the calling task until woken. Callers re-check their predicate
 // in a loop, as with condition variables.
 func (q *WaitQ) Wait(t *Task) {
+	q.block(t)
+	t.waitGrant()
+}
+
+// block is Wait up to the park: it queues and blocks the running task t,
+// which remembers q until it takes the grant that ends the wait.
+func (q *WaitQ) block(t *Task) {
+	t.assertRunning()
 	q.tasks = append(q.tasks, t)
-	t.Block()
+	t.waitQ = q
+	t.state = taskBlocked
+	t.cpu.release(t)
 }
 
 // WakeOne readies the longest-waiting task, reporting whether one existed.

@@ -122,6 +122,9 @@ func (s *ringStore) Pop() (MsgMeta, uint64) {
 	return meta, 0
 }
 
+// PopCost implements Store: advancing the ring head is free.
+func (s *ringStore) PopCost() uint64 { return 0 }
+
 // HeadLen implements Store.
 func (s *ringStore) HeadLen() int {
 	return int(s.space.Read(uint64(s.head * s.slotWords)))

@@ -81,6 +81,8 @@ type Store interface {
 	// Pop consumes the head message, returning its metadata and the cycles
 	// the disposing context spends releasing it.
 	Pop() (MsgMeta, uint64)
+	// PopCost returns the cycles Pop would now return, changing nothing.
+	PopCost() uint64
 
 	Empty() bool
 	// Pending reports messages pushed and not yet popped.

@@ -157,6 +157,9 @@ func (b *VirtualBuffer) pageIn(vp uint64, res PushResult) PushResult {
 	return res
 }
 
+// PopCost implements Store: disposal from the buffer is free.
+func (b *VirtualBuffer) PopCost() uint64 { return 0 }
+
 // HeadLen returns the length of the message at the head, restoring its page
 // from swap if it was paged out.
 func (b *VirtualBuffer) HeadLen() int {

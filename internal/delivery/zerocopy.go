@@ -113,6 +113,14 @@ func (s *remapStore) Pop() (MsgMeta, uint64) {
 	return meta, s.costs.RemapRelease
 }
 
+// PopCost implements Store: the shootdown, unless the head was copied.
+func (s *remapStore) PopCost() uint64 {
+	if len(s.entries) == 0 || s.entries[0].fallback {
+		return 0
+	}
+	return s.costs.RemapRelease
+}
+
 // HeadLen implements Store.
 func (s *remapStore) HeadLen() int {
 	e := &s.entries[0]

@@ -387,10 +387,12 @@ func (k *Kernel) UserDispose(t *cpu.Task, p *Process) bool {
 	}
 }
 
-// PlainDispose reports whether UserDispose would now take its plain path:
-// the NI frees a matching head message, with no trap, no kernel emulation
-// and no cycles spent. It changes nothing.
-func (k *Kernel) PlainDispose() bool { return !k.hwDemux && k.ni.MessageAvailable() }
+// DisposeSpends reports whether UserDispose would now spend cycles: only a
+// zero-copy consume does, for the shootdown that unmaps its flipped page.
+// It changes nothing.
+func (k *Kernel) DisposeSpends(p *Process) bool {
+	return (k.hwDemux || k.ni.Divert()) && p.store.PopCost() > 0
+}
 
 // bypassDispose frees the head message of a hardware-demultiplexed ring:
 // the user-visible dispose under a kernel-bypass policy. It counts as a

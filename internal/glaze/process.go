@@ -27,10 +27,13 @@ type Process struct {
 	upcallW *cpu.WaitQ
 	extra   []*cpu.Task // threads spawned by the application
 
-	// Upcall is installed by the user-level runtime (the udm package): it
-	// delivers every message it can and returns. The kernel signals the
-	// upcall task whenever deliverable work may exist.
-	Upcall func(t *cpu.Task)
+	// Activity is the body of the message-handling task, installed by the
+	// user-level runtime (the udm package) before the process first runs.
+	// The kernel signals the task whenever deliverable work may exist
+	// (SignalUpcall); the activity takes the signal (TakeUpcall), delivers
+	// what it may, and waits on UpcallQueue when no signal is left. It
+	// never returns. A process with no runtime only takes its signals.
+	Activity func(t *cpu.Task)
 
 	// Mode state.
 	upcallPending bool // a SignalUpcall has not yet been consumed
@@ -104,17 +107,11 @@ func newProcess(k *Kernel, job *Job, gid nic.GID) *Process {
 		fmt.Sprintf("%s.%d.upcall", job.name, k.node),
 		cpu.PrioHandler, cpu.DomainUser,
 		func(t *cpu.Task) {
+			if p.Activity != nil {
+				p.Activity(t)
+			}
 			for {
-				// Level-triggered: consume the pending mark before
-				// delivering, and only sleep once no signal remains, so a
-				// signal raised while the task was running (or before it
-				// ever reached the wait queue) is never lost.
-				for p.upcallPending {
-					p.upcallPending = false
-					if p.Upcall != nil {
-						p.Upcall(t)
-					}
-				}
+				p.TakeUpcall()
 				p.upcallW.Wait(t)
 			}
 		})
@@ -238,6 +235,24 @@ func (p *Process) SignalUpcall() {
 		p.upcallW.WakeOne()
 	}
 }
+
+// TakeUpcall consumes a pending signal, reporting whether there was one.
+// The activity takes the signal before delivering and waits only once none
+// remains, so a signal raised while it runs, or before it ever reached the
+// wait queue, is never lost.
+func (p *Process) TakeUpcall() bool {
+	taken := p.upcallPending
+	p.upcallPending = false
+	return taken
+}
+
+// UpcallQueue is the queue the message-handling activity waits on for a
+// signal.
+func (p *Process) UpcallQueue() *cpu.WaitQ { return p.upcallW }
+
+// UpcallResumes reports how many times the message-handling task's
+// coroutine has been resumed (cpu.Task.Resumes).
+func (p *Process) UpcallResumes() uint64 { return p.upcall.Resumes() }
 
 // CanDeliverFast reports whether the message-handling activity may take a
 // message on the direct path: resident, direct mode, matching head. Under a

@@ -143,14 +143,23 @@ func (m *Machine) Diagnose(reason string) *spans.Report {
 		var b strings.Builder
 		fmt.Fprintf(&b, "mains done=%d/%d overflowed=%v\n", j.done, j.mains, j.overflowed)
 		for _, p := range j.procs {
-			fmt.Fprintf(&b, "node %d: buffered=%v atomicVirtual=%v throttled=%v scheduled=%v buf-pending=%d",
-				p.node, p.buffered, p.atomicVirtual, p.throttled, p.scheduled, p.store.Pending())
+			uac := p.uacShadow // the NI's UAC as the process left it
+			if p.scheduled {
+				uac = p.kern.ni.UAC()
+			}
+			fmt.Fprintf(&b, "node %d: buffered=%v atomicVirtual=%v throttled=%v scheduled=%v upcall-pending=%v uac=%#x buf-pending=%d",
+				p.node, p.buffered, p.atomicVirtual, p.throttled, p.scheduled, p.upcallPending,
+				uac, p.store.Pending())
 			if ids := p.store.PendingIDs(); len(ids) > 0 {
 				fmt.Fprintf(&b, " buf-msg-ids=%v", ids)
 			}
 			b.WriteByte('\n')
 			p.eachTask(func(t *cpu.Task) {
-				fmt.Fprintf(&b, "  task %-28s %s\n", t.Name(), t.StateName())
+				fmt.Fprintf(&b, "  task %-28s %s", t.Name(), t.StateName())
+				if q := t.BlockedOn(); q != "" {
+					fmt.Fprintf(&b, " on %s", q)
+				}
+				b.WriteByte('\n')
 			})
 		}
 		rep.Sections = append(rep.Sections, spans.Section{Title: "job " + j.name, Body: b.String()})

@@ -11,21 +11,7 @@ import (
 // makes no delivery progress; the watchdog must stop the run with a report
 // instead of letting RunUntilDone burn its whole cycle budget.
 func TestWatchdogFiresOnStall(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.W, cfg.H = 2, 1
-	cfg.Watchdog = WatchdogConfig{Interval: 10_000, Grace: 2}
-	m := NewMachine(cfg)
-	job := m.NewJob("stall")
-	q := cpu.NewWaitQ("never")
-	job.Process(0).StartMain(func(tk *cpu.Task) {
-		q.Wait(tk) // woken by nobody
-	})
-	job.Process(1).StartMain(func(tk *cpu.Task) {
-		tk.Spend(100)
-	})
-	m.NewGang(1<<40, 0, job).Start()
-	m.RunUntilDone(100_000_000, job)
-
+	m, job := runStall()
 	if job.Done() {
 		t.Fatal("stalled job reported done")
 	}
@@ -41,6 +27,47 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 	}
 	if now := m.Eng.Now(); now >= 100_000_000 {
 		t.Errorf("engine ran to the full budget (t=%d); watchdog should have stopped it", now)
+	}
+}
+
+// runStall runs a job whose node-0 main waits on a queue named "never"
+// that nobody wakes, under a watchdog.
+func runStall() (*Machine, *Job) {
+	cfg := DefaultConfig()
+	cfg.W, cfg.H = 2, 1
+	cfg.Watchdog = WatchdogConfig{Interval: 10_000, Grace: 2}
+	m := NewMachine(cfg)
+	job := m.NewJob("stall")
+	q := cpu.NewWaitQ("never")
+	job.Process(0).StartMain(func(tk *cpu.Task) {
+		q.Wait(tk) // woken by nobody
+	})
+	job.Process(1).StartMain(func(tk *cpu.Task) {
+		tk.Spend(100)
+	})
+	m.NewGang(1<<40, 0, job).Start()
+	m.RunUntilDone(100_000_000, job)
+	return m, job
+}
+
+// TestWatchdogReportNamesWaitQueues: a blocked task's line in the
+// liveness report names the queue it waits on, and each process line shows
+// its pending upcall signal and UAC.
+func TestWatchdogReportNamesWaitQueues(t *testing.T) {
+	m, _ := runStall()
+	rep := m.WatchdogReport()
+	if rep == nil {
+		t.Fatal("watchdog did not fire on a stalled run")
+	}
+	s := rep.String()
+	for _, want := range []string{
+		"stall.0.main                 blocked on never\n",
+		"stall.0.upcall               blocked on upcall\n",
+		"node 0: buffered=false atomicVirtual=false throttled=false scheduled=true upcall-pending=false uac=0x0 ",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("report lacks %q:\n%s", want, s)
+		}
 	}
 }
 

@@ -39,6 +39,8 @@ type Proc struct {
 	// Rearmer). It is nil except while a Rearmer sets it, so the wake path
 	// pays one nil test.
 	rearm Rearmer
+	// resumes counts the proc's returns from park (see Resumes).
+	resumes uint64
 }
 
 // Rearmer lets the engine handle a parked proc's wake without resuming it.
@@ -185,6 +187,7 @@ func (p *Proc) park() {
 			}
 			p.chained = false
 			e.current = p
+			p.resumes++
 			return
 		} else if fn := ev.fn; fn != nil {
 			e.release(ev)
@@ -202,6 +205,7 @@ func (p *Proc) park() {
 		p.yield(struct{}{})
 	}
 	e.current = p
+	p.resumes++
 }
 
 // Park blocks the proc until some event wakes it via Engine.Wake or
@@ -236,6 +240,10 @@ func (p *Proc) SetSite(s Site) {
 
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }
+
+// Resumes reports how many times the proc has returned from a park, in
+// place or through a coroutine switch: the host cost a Rearmer saves.
+func (p *Proc) Resumes() uint64 { return p.resumes }
 
 // Engine returns the engine this proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }

@@ -78,7 +78,8 @@ func (ep *EP) registerBulk() {
 		id, off, total, handler := m.Args[0], int(m.Args[1]), int(m.Args[2]), m.Args[3]
 		x, ok := ep.bulk[id]
 		if !ok {
-			x.msg = ep.getMsg(total)
+			x.msg = ep.getMsg()
+			x.msg.setArgs(total)
 			x.msg.Handler = handler
 		}
 		words := m.Args[4:]

@@ -8,21 +8,24 @@ import (
 	"fugu/internal/sim"
 )
 
-// upcall is the body of the process's message-handling activity, installed
-// as glaze.Process.Upcall. The kernel signals it on message-available
-// interrupts, on buffer inserts and on mode transitions; it delivers every
-// message it may and returns.
-func (ep *EP) upcall(t *cpu.Task) {
+// activity is the body of the process's message-handling task, installed as
+// glaze.Process.Activity. The kernel signals it on message-available
+// interrupts, on buffer inserts and on mode transitions. It is one step
+// sequence per handler run (see steps): taking the signal, choosing
+// between buffered and interrupt delivery, the receive up to the handler,
+// and after the handler the interrupt tail and the delivery's record, the
+// next choice and the wait for a signal when there is nothing to deliver.
+// So the task's coroutine resumes only to run handlers.
+func (ep *EP) activity(t *cpu.Task) {
+	s := &ep.act
+	*s = steps{ep: ep, t: t, stage: stageIdle}
 	for {
-		switch {
-		case ep.p.CanDeliverBuffered():
-			ep.deliverBuffered(t)
-		case ep.p.CanDeliverFast() && ep.p.NI().UAC()&nic.UACInterruptDisable == 0:
-			// A user-level message interrupt: the head is ours and the
-			// application has interrupts enabled.
-			ep.deliverInterrupt(t)
-		default:
-			return
+		t.Steps(s)
+		ep.run(t, s.m)
+		if s.path == pathInterrupt {
+			s.stage = stageTail
+		} else {
+			s.stage = stageObserve
 		}
 	}
 }
@@ -54,20 +57,24 @@ func (ep *EP) run(t *cpu.Task, m *Msg) {
 	ep.putMsg(m)
 }
 
-// getMsg pops a recycled Msg (or makes one) with Args sized to nArgs.
-func (ep *EP) getMsg(nArgs int) *Msg {
+// getMsg pops a recycled Msg, or makes one, for setArgs to size.
+func (ep *EP) getMsg() *Msg {
 	if n := len(ep.msgFree); n > 0 {
 		m := ep.msgFree[n-1]
 		ep.msgFree = ep.msgFree[:n-1]
-		if cap(m.Args) >= nArgs {
-			m.Args = m.Args[:nArgs]
-		} else {
-			m.Args = make([]uint64, nArgs)
-		}
 		m.Bulk = false
 		return m
 	}
-	return &Msg{Args: make([]uint64, nArgs)}
+	return &Msg{}
+}
+
+// setArgs sizes m.Args to n words, reusing its array when it is big enough.
+func (m *Msg) setArgs(n int) {
+	if cap(m.Args) >= n {
+		m.Args = m.Args[:n]
+	} else {
+		m.Args = make([]uint64, n)
+	}
 }
 
 func (ep *EP) putMsg(m *Msg) { ep.msgFree = append(ep.msgFree, m) }
@@ -82,38 +89,6 @@ func (ep *EP) getEnv() *Env {
 }
 
 func (ep *EP) putEnv(e *Env) { ep.envFree = append(ep.envFree, e) }
-
-// deliverInterrupt is the fast-path interrupt receive of Table 4: stub
-// overhead, atomic handler execution, cleanup.
-func (ep *EP) deliverInterrupt(t *cpu.Task) {
-	m, before := ep.receive(ep.getSteps(t, stageAtom), pathInterrupt, ep.cost.RecvIntrPre())
-	ep.run(t, m)
-	ep.p.Kernel().UserEndAtom(t, ep.p, nic.UACInterruptDisable)
-	t.Spend(ep.cost.RecvIntrPost())
-	ep.observeDelivery(t, before)
-}
-
-// deliverBuffered executes one handler from the software buffer (Table 5:
-// 52 cycles plus ~4.5 per argument word). Handler atomicity comes from the
-// elevated priority of the message-handling task, not from the UAC.
-func (ep *EP) deliverBuffered(t *cpu.Task) {
-	m, before := ep.receive(ep.getSteps(t, stageRead), pathBuffered, ep.cost.BufferedNullHandler)
-	ep.run(t, m)
-	ep.observeDelivery(t, before)
-}
-
-// receive runs s as a receive on path up to its handler: one
-// cpu.Task.SpendSteps sequence starting with a spend of n cycles. Its
-// stages run at the wakes of their spends, so a receive resumes its task
-// once, for the handler. It returns the extracted message (nil when a poll
-// found none) and the task's cycles when the delivery began.
-func (ep *EP) receive(s *steps, path recvPath, n uint64) (*Msg, uint64) {
-	s.path = path
-	s.t.SpendSteps(n, s)
-	m, before := s.m, s.before
-	ep.putSteps(s)
-	return m, before
-}
 
 // observeDelivery records the cycles one delivery consumed — dispatch,
 // extraction and handler body together, the quantity Table 6 calls T_hand.
@@ -158,8 +133,10 @@ func (e *Env) poll(c *Counter, target uint64, once bool) bool {
 	ep := e.EP
 	ep.mustHoldAtomicity("Poll")
 	s := ep.getSteps(e.T, stagePoll)
-	s.c, s.target, s.once = c, target, once
-	m, before := ep.receive(s, pathPoll, ep.cost.Poll)
+	s.path, s.c, s.target, s.once = pathPoll, c, target, once
+	e.T.SpendSteps(ep.cost.Poll, s)
+	m, before := s.m, s.before
+	ep.putSteps(s)
 	if m == nil {
 		return false
 	}
@@ -175,12 +152,14 @@ func (ep *EP) mustHoldAtomicity(op string) {
 	}
 }
 
-// steps is one cpu.Task.SpendSteps sequence in progress on the endpoint: a
-// receive up to its handler, with a poll loop's empty polls, or a stalled
-// inject. Its stages are the work between the sequence's spends. Sequences
-// of the endpoint's tasks overlap (a handler can stall while the main
-// thread polls), so each takes its own from the endpoint's free list. Held
-// by pointer, it passes as a cpu.Stepper without allocating.
+// steps is one cpu.Task step sequence in progress on the endpoint: the
+// message-handling activity up to its next handler, a poll loop up to the
+// handler of the message it finds, or a stalled inject. Its stages are the
+// work between the sequence's spends and waits. Sequences of the
+// endpoint's tasks overlap (a handler can stall while the main thread
+// polls): the activity's is embedded in the endpoint, and every other takes
+// its own from the endpoint's free list. Held by pointer, it passes as a
+// cpu.Stepper without allocating.
 type steps struct {
 	ep    *EP
 	t     *cpu.Task
@@ -216,11 +195,14 @@ const (
 	pathBuffered
 )
 
-// stage is the work a steps runs after its current spend.
+// stage is the work a steps runs after its current spend or wait.
 type stage uint8
 
 const (
-	stagePoll    stage = iota // deliver the head, poll again, or stop
+	stageIdle    stage = iota // take the upcall signal and choose, or wait for one
+	stageTail                 // leave an interrupt handler's atomic section
+	stageObserve              // record the delivery's cycles, then choose
+	stagePoll                 // deliver the head, poll again, or stop
 	stageAtom                 // enter the handler's atomic section, then read
 	stageRead                 // read the head message, charge its arguments
 	stageDispose              // dispose, record latency, charge the null handler
@@ -244,37 +226,48 @@ func (ep *EP) putSteps(s *steps) {
 	ep.stepsFree = s
 }
 
-// Inline implements cpu.Stepper. Every stage may run at a spend's wake
-// except a dispose that would trap or spend: UserDispose's kernel paths
-// (dispose-extend in buffered mode, a kernel-bypass ring) run in the task.
-// A read stage reaches the dispose without a spend when the message has no
-// argument cost, so it asks the same. A poll that lost atomicity goes to the
-// task to panic there.
+// Inline implements cpu.Stepper. Every stage may run at a wake except a
+// dispose that would spend: a zero-copy consume's shootdown runs in the
+// task. A read stage reaches the dispose without a spend when the message
+// has no argument cost, so it asks the same. A poll that lost atomicity
+// goes to the task to panic there.
 func (s *steps) Inline() bool {
 	switch s.stage {
 	case stagePoll:
 		return mayPoll(s.ep.p)
 	case stageAtom, stageRead, stageDispose:
-		return s.ep.p.Kernel().PlainDispose()
+		return !s.ep.p.Kernel().DisposeSpends(s.ep.p)
 	}
 	return true
 }
 
 // Step implements cpu.Stepper.
-func (s *steps) Step() (uint64, bool) {
+func (s *steps) Step() (uint64, *cpu.WaitQ, bool) {
 	ep, p := s.ep, s.ep.p
 	switch s.stage {
+	case stageIdle:
+		if !p.TakeUpcall() {
+			return 0, p.UpcallQueue(), true
+		}
+		return s.choose()
+	case stageTail:
+		p.Kernel().UserEndAtom(s.t, p, nic.UACInterruptDisable)
+		s.stage = stageObserve
+		return ep.cost.RecvIntrPost(), nil, true
+	case stageObserve:
+		ep.observeDelivery(s.t, s.before)
+		return s.choose()
 	case stagePoll:
 		if !p.HaveMessage() {
 			if s.once || s.c != nil && s.c.n >= s.target {
-				return 0, false
+				return 0, nil, false
 			}
 			ep.mustHoldAtomicity("Poll")
-			return ep.cost.Poll, true
+			return ep.cost.Poll, nil, true
 		}
 		s.before = s.t.Consumed()
 		s.stage = stageRead
-		return ep.cost.PollDispatch, true
+		return ep.cost.PollDispatch, nil, true
 	case stageAtom:
 		// The message-available stub starts the handler in an atomic
 		// section and requires it to free a message before leaving it.
@@ -295,49 +288,83 @@ func (s *steps) Step() (uint64, bool) {
 			// flip.
 			p.CountDelivery(true)
 		}
-		return 0, false
+		return 0, nil, false
 	default: // stageStall
 		if !p.Throttled() && p.NI().SpaceAvailable() < s.need {
-			return 1, true
+			return 1, nil, true
 		}
-		return 0, false
+		return 0, nil, false
+	}
+}
+
+// choose is glaze's level-triggered upcall loop: it starts a buffered
+// receive (Table 5: 52 cycles plus ~4.5 per argument word, atomic through
+// the task's elevated priority) or an interrupt receive (Table 4: the stub,
+// then the handler in an atomic section) while the process may take one,
+// then takes a pending signal and chooses again, and waits for a signal
+// once none is left.
+func (s *steps) choose() (uint64, *cpu.WaitQ, bool) {
+	ep, p := s.ep, s.ep.p
+	for {
+		switch {
+		case p.CanDeliverBuffered():
+			s.path, s.stage, s.before = pathBuffered, stageRead, s.t.Consumed()
+			return ep.cost.BufferedNullHandler, nil, true
+		case p.CanDeliverFast() && p.NI().UAC()&nic.UACInterruptDisable == 0:
+			// A user-level message interrupt: the head is ours and the
+			// application has interrupts enabled.
+			s.path, s.stage, s.before = pathInterrupt, stageAtom, s.t.Consumed()
+			return ep.cost.RecvIntrPre(), nil, true
+		}
+		if !p.TakeUpcall() {
+			s.stage = stageIdle
+			return 0, p.UpcallQueue(), true
+		}
 	}
 }
 
 // read starts the extraction: it reads the head message through the
 // transparent-access indirection into a recycled Msg and charges the path's
 // cost per argument word.
-func (s *steps) read() (uint64, bool) {
-	ep, p := s.ep, s.ep.p
-	fast := !p.Buffered()
-	s.id, s.sentAt, s.haveHead = p.Head()
+func (s *steps) read() (uint64, *cpu.WaitQ, bool) {
+	s.id, s.sentAt, s.haveHead = s.ep.p.Head()
+	s.m = s.ep.getMsg()
+	c := s.ep.readHead(s.m, s.path)
+	s.stage = stageDispose
+	if c > 0 {
+		return c, nil, true
+	}
+	return s.dispose()
+}
+
+// readHead reads the head message through the transparent-access
+// indirection into m, and returns what its argument words cost on path: a
+// poll pays the buffered rate when it reads the buffer, a buffered receive
+// always, an interrupt receive never.
+func (ep *EP) readHead(m *Msg, path recvPath) uint64 {
+	p := ep.p
 	n := p.MsgLen()
 	if n < 2 {
 		panic(fmt.Sprintf("udm: malformed message of %d words", n))
 	}
-	m := ep.getMsg(n - 2)
+	m.setArgs(n - 2)
 	m.Handler = p.MsgWord(1)
-	m.Fast = fast
+	m.Fast = !p.Buffered()
 	for i := range m.Args {
 		m.Args[i] = p.MsgWord(2 + i)
 	}
-	s.m = m
-	s.stage = stageDispose
 	perWord := ep.cost.RecvPerArg
-	if s.path == pathBuffered || s.path == pathPoll && !fast {
+	if path == pathBuffered || path == pathPoll && !m.Fast {
 		perWord = ep.cost.BufferedPerArgTimes2 / 2
 	}
-	if c := perWord * uint64(len(m.Args)); c > 0 {
-		return c, true
-	}
-	return s.dispose()
+	return perWord * uint64(len(m.Args))
 }
 
 // dispose ends the extraction: the message leaves the queue, so the
 // handler may run and inject freely, and the injection-to-disposal span
 // lands in the per-path end-to-end latency histogram. It returns the path's
 // null-handler spend; a buffered receive has none.
-func (s *steps) dispose() (uint64, bool) {
+func (s *steps) dispose() (uint64, *cpu.WaitQ, bool) {
 	ep, p, m := s.ep, s.ep.p, s.m
 	rec := p.Kernel().Machine().Spans
 	if rec != nil && s.haveHead {
@@ -361,40 +388,30 @@ func (s *steps) dispose() (uint64, bool) {
 	s.stage = stageCount
 	switch {
 	case s.path == pathInterrupt:
-		return ep.cost.NullHandler, true
+		return ep.cost.NullHandler, nil, true
 	case s.path == pathBuffered:
-		return 0, false
+		return 0, nil, false
 	case m.Fast:
-		return ep.cost.PollNullHandler, true
+		return ep.cost.PollNullHandler, nil, true
 	default:
-		return ep.cost.BufferedNullHandler, true
+		return ep.cost.BufferedNullHandler, nil, true
 	}
 }
 
 // Peek examines the next pending message without extracting it — the UDM
 // peek operation. It returns nil when no message is available. Like Poll,
 // the caller must hold atomicity; a later Poll (or handler dispatch after
-// EndAtomic) performs the actual extraction.
+// EndAtomic) performs the actual extraction. It reads and charges the head
+// as a poll's read stage does.
 func (e *Env) Peek() *Msg {
 	ep := e.EP
 	ep.mustHoldAtomicity("Peek")
 	e.T.Spend(ep.cost.Poll)
-	p := ep.p
-	if !p.HaveMessage() {
+	if !ep.p.HaveMessage() {
 		return nil
 	}
-	n := p.MsgLen()
-	m := &Msg{Handler: p.MsgWord(1), Fast: !p.Buffered(), Args: make([]uint64, n-2)}
-	for i := range m.Args {
-		m.Args[i] = p.MsgWord(2 + i)
-	}
-	var perWord uint64
-	if m.Fast {
-		perWord = ep.cost.RecvPerArg
-	} else {
-		perWord = ep.cost.BufferedPerArgTimes2 / 2
-	}
-	if c := perWord * uint64(len(m.Args)); c > 0 {
+	m := new(Msg)
+	if c := ep.readHead(m, pathPoll); c > 0 {
 		e.T.Spend(c)
 	}
 	return m

@@ -75,9 +75,11 @@ type EP struct {
 	envFree []*Env
 	// scratchFree recycles the payload slices handed out by Scratch.
 	scratchFree [][]uint64
-	// stepsFree lists the free states of receives and output stalls (see
-	// steps), starting with steps0, so neither the first nor a receive of
-	// the message-handling activity overlapping it allocates.
+	// act is the message-handling activity's step sequence. stepsFree
+	// lists the free states of poll loops and output stalls (see steps),
+	// starting with steps0, so a main thread's poll or stall and a
+	// handler's stall overlapping it allocate nothing.
+	act       steps
 	stepsFree *steps
 	steps0    [2]steps
 
@@ -95,8 +97,8 @@ type EP struct {
 	mHandler   *metrics.Histogram
 }
 
-// Attach builds the endpoint for a process and installs its upcall (the
-// message-handling activity the kernel signals).
+// Attach builds the endpoint for a process and installs its
+// message-handling activity, the task the kernel signals.
 func Attach(p *glaze.Process) *EP {
 	ep := &EP{
 		p:        p,
@@ -110,7 +112,7 @@ func Attach(p *glaze.Process) *EP {
 	ep.mHandler = r.Histogram("udm.handler_cycles")
 	ep.steps0[0].next = &ep.steps0[1]
 	ep.stepsFree = &ep.steps0[0]
-	p.Upcall = ep.upcall
+	p.Activity = ep.activity
 	ep.registerBulk()
 	return ep
 }

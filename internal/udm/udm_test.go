@@ -462,3 +462,35 @@ func TestExactlyOnceInOrderAcrossModes(t *testing.T) {
 		t.Errorf("delivery total %d < %d", d.Total(), N)
 	}
 }
+
+// TestActivityResumesOncePerHandler counts the message-handling task's
+// coroutine resumes: with handlers that spend nothing, everything else the
+// activity does (the interrupt receive up to the handler, the tail after
+// it, the choice of the next delivery and the wait for a signal) runs at
+// wakes in the event loop, so the task resumes once per handler run plus
+// once at start-up.
+func TestActivityResumesOncePerHandler(t *testing.T) {
+	startup := func(k uint64) int64 {
+		m, job, eps := testMachine(t, nil)
+		got := NewCounter()
+		eps[1].On(1, func(e *Env, msg *Msg) { got.Add(1) })
+		job.Process(1).StartMain(func(tk *cpu.Task) { got.WaitFor(tk, k) })
+		job.Process(0).StartMain(func(tk *cpu.Task) {
+			e := eps[0].Env(tk)
+			for i := uint64(0); i < k; i++ {
+				e.Inject(1, 1, i)
+				e.Spend(200)
+			}
+		})
+		m.RunUntilDone(0, job)
+		if d := job.Delivery(); d.Fast != k || d.Buffered != 0 {
+			t.Fatalf("k=%d: delivery = %+v, want %d fast", k, d, k)
+		}
+		return int64(job.Process(1).UpcallResumes()) - int64(k)
+	}
+	// The one start-up resume comes before any message arrives, when the
+	// gang scheduler first makes the process resident.
+	if a, b := startup(3), startup(11); a != 1 || b != 1 {
+		t.Errorf("resumes beyond one per handler: %d with 3 messages, %d with 11; want 1", a, b)
+	}
+}
