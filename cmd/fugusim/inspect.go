@@ -84,8 +84,6 @@ func inspectCmd(args []string, stdout, stderr io.Writer) (string, int) {
 	// default threshold is two quanta.
 	interval := fs.Uint64("interval", 200_000, "watchdog: check interval in cycles")
 	grace := fs.Int("grace", 5, "watchdog: consecutive stale checks before firing (stall threshold = interval*grace)")
-	topK := fs.Int("topk", 8, fmt.Sprintf("spans: slowest messages to list with timelines (max %d)", spans.TopK))
-	links := fs.Int("links", 8, "spans: hottest src->dst links to list")
 	folded := fs.String("folded", "", "profile: also write the cost profile as folded stacks (flamegraph input) to this path")
 	allocs := fs.Bool("allocs", false, "profile: also attribute heap allocations per schedule site (slower)")
 	fs.Usage = func() {
@@ -228,8 +226,8 @@ func inspectCmd(args []string, stdout, stderr io.Writer) (string, int) {
 		fmt.Fprintln(w)
 		writeWaterfall(w, rec)
 		writeAnatomy(w, rec)
-		writeHeat(w, rec, *links)
-		writeSlowest(w, rec, *topK)
+		writeHeat(w, rec)
+		writeSlowest(w, rec)
 	}
 	if obs&withProfile != 0 {
 		fmt.Fprintf(w, "engine cost profile (by schedule site)\n")

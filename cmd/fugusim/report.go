@@ -53,9 +53,13 @@ func writeAnatomy(w io.Writer, rec *spans.Recorder) {
 	fmt.Fprintln(w)
 }
 
+// reportRows is how many of the hottest links and of the slowest messages
+// the spans report lists.
+const reportRows = 8
+
 // writeHeat renders the per-destination-node dwell table and the hottest
 // src->dst links by summed end-to-end latency.
-func writeHeat(w io.Writer, rec *spans.Recorder, nLinks int) {
+func writeHeat(w io.Writer, rec *spans.Recorder) {
 	nodes := rec.NodeHeats()
 	if len(nodes) > 0 {
 		fmt.Fprintf(w, "destination-node heat (dwell cycles by stage)\n")
@@ -77,8 +81,8 @@ func writeHeat(w io.Writer, rec *spans.Recorder, nLinks int) {
 	if len(heats) == 0 {
 		return
 	}
-	if nLinks > 0 && len(heats) > nLinks {
-		heats = heats[:nLinks]
+	if len(heats) > reportRows {
+		heats = heats[:reportRows]
 	}
 	fmt.Fprintf(w, "hottest links (by summed end-to-end latency)\n")
 	fmt.Fprintf(w, "  %-10s %8s %14s %12s\n", "link", "msgs", "cycles", "avg")
@@ -92,11 +96,11 @@ func writeHeat(w io.Writer, rec *spans.Recorder, nLinks int) {
 	fmt.Fprintln(w)
 }
 
-// writeSlowest renders the top-K slowest messages with their full stage
+// writeSlowest renders the slowest messages with their full stage
 // timelines: when each span entered each stage and why, plus the dwell the
 // span accumulated in it.
-func writeSlowest(w io.Writer, rec *spans.Recorder, k int) {
-	slow := rec.Slowest(k)
+func writeSlowest(w io.Writer, rec *spans.Recorder) {
+	slow := rec.Slowest(reportRows)
 	if len(slow) == 0 {
 		return
 	}

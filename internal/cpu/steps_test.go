@@ -183,6 +183,7 @@ func runStepScenario(sc stepScenario, written bool) stepsRun {
 	r.cycles = [5]uint64{stepper.Consumed(), peer.Consumed(), local.Task().Consumed(),
 		busy.Consumed(), remote.Task().Consumed()}
 	r.inline = s.inline
+	e.Close() // the IRQ tasks stay parked
 	if !stepper.Done() || !peer.Done() || !busy.Done() {
 		panic("scenario tasks did not finish")
 	}

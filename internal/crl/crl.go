@@ -84,9 +84,8 @@ type Node struct {
 	regions map[RegionID]*Region
 	dir     map[RegionID]*dirEntry // directory entries for home regions
 
-	// Statistics.
-	Hits, Misses uint64 // section starts served locally vs via protocol
-
+	// mHits and mMisses count section starts served locally and via the
+	// protocol.
 	mHits, mMisses *metrics.Counter
 }
 
@@ -194,7 +193,6 @@ func (n *Node) StartRead(t *cpu.Task, r *Region) {
 	e := n.ep.Env(t)
 	e.Spend(costSectionCheck)
 	if r.st == invalid {
-		n.Misses++
 		n.mMisses.Inc()
 		r.acq = acqRead
 		target := r.wait.Value() + 1
@@ -205,7 +203,6 @@ func (n *Node) StartRead(t *cpu.Task, r *Region) {
 			target = r.wait.Value() + 1
 		}
 	} else {
-		n.Hits++
 		n.mHits.Inc()
 	}
 	r.readers++
@@ -279,7 +276,6 @@ func (n *Node) StartWrite(t *cpu.Task, r *Region) {
 		panic("crl: nested sections on one region are not supported")
 	}
 	if r.st != exclusive {
-		n.Misses++
 		n.mMisses.Inc()
 		r.acq = acqWrite
 		target := r.wait.Value() + 1
@@ -289,7 +285,6 @@ func (n *Node) StartWrite(t *cpu.Task, r *Region) {
 			target = r.wait.Value() + 1
 		}
 	} else {
-		n.Hits++
 		n.mHits.Inc()
 	}
 	r.writing = true

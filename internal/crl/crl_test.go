@@ -57,8 +57,8 @@ func TestLocalHomeSections(t *testing.T) {
 				t.Error("home read-back failed")
 			}
 			c.EndRead(tk, rg)
-			if c.Misses != 0 {
-				t.Errorf("home-local sections missed %d times", c.Misses)
+			if n := c.mMisses.Value(); n != 0 {
+				t.Errorf("home-local sections missed %d times", n)
 			}
 		},
 	})
@@ -86,8 +86,8 @@ func TestRemoteReadSeesHomeData(t *testing.T) {
 				}
 			}
 			c.EndRead(tk, rg)
-			if c.Misses != 1 {
-				t.Errorf("misses = %d, want 1", c.Misses)
+			if n := c.mMisses.Value(); n != 1 {
+				t.Errorf("misses = %d, want 1", n)
 			}
 		},
 	})

@@ -18,7 +18,7 @@ import (
 func TestDeadlockSeedRegression(t *testing.T) {
 	for _, ops := range []int{41, 45, 49} {
 		total, m, job := runStressMachine(t, 0x9459729f43aff4c8, ops)
-		if rep := m.WatchdogReport(); rep != nil {
+		if rep := m.Spans.Report(); rep != nil {
 			t.Fatalf("ops=%d: run wedged; liveness report:\n%s", ops, rep.String())
 		}
 		if !job.Done() {

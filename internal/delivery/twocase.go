@@ -47,9 +47,6 @@ type VirtualBuffer struct {
 	swap map[uint64][]uint64
 
 	noReclaim bool // pinned-buffer ablation: never release pages
-
-	pageOuts uint64
-	pageIns  uint64
 }
 
 // NewVirtualBuffer builds an empty buffer over the node's frame pool.
@@ -142,7 +139,6 @@ func (b *VirtualBuffer) pageOut(vp uint64) bool {
 		return false
 	}
 	b.swap[vp] = words
-	b.pageOuts++
 	return true
 }
 
@@ -153,7 +149,6 @@ func (b *VirtualBuffer) pageIn(vp uint64, res PushResult) PushResult {
 	for !b.space.Install(vp*vm.PageWords, words) {
 		res = b.evictVictim(res)
 	}
-	b.pageIns++
 	return res
 }
 
@@ -218,9 +213,3 @@ func (b *VirtualBuffer) Pop() (MsgMeta, uint64) {
 	}
 	return meta, 0
 }
-
-// PageOuts and PageIns expose the backing-store traffic (tests).
-func (b *VirtualBuffer) PageOuts() uint64 { return b.pageOuts }
-
-// PageIns reports pages restored from backing store.
-func (b *VirtualBuffer) PageIns() uint64 { return b.pageIns }

@@ -155,16 +155,6 @@ func (p *Plan) Arm(k Kind, s FaultSpec) *Plan {
 	return p
 }
 
-// Armed reports whether any spec in the plan can fire.
-func (p *Plan) Armed() bool {
-	for k := Kind(0); k < NumKinds; k++ {
-		if p.Specs[k].armed(k) {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the armed specs compactly.
 func (p *Plan) String() string {
 	out := fmt.Sprintf("plan(seed=%#x", p.Seed)

@@ -165,15 +165,3 @@ func (cm CostModel) RecvIntrTotal() uint64 {
 func (cm CostModel) RecvPollTotal() uint64 {
 	return cm.Poll + cm.PollDispatch + cm.PollNullHandler
 }
-
-// BufferedExtract returns the cost to run a handler for an n-argument
-// message from the software buffer (Table 5: 52 + ~4.5/word).
-func (cm CostModel) BufferedExtract(nargs int) uint64 {
-	return cm.BufferedNullHandler + cm.BufferedPerArgTimes2*uint64(nargs)/2
-}
-
-// BufferedMinTotal returns the minimum per-message buffered-path overhead
-// (Table 5 discussion: 180 + 52 = 232 cycles).
-func (cm CostModel) BufferedMinTotal() uint64 {
-	return cm.BufferInsertMin + cm.BufferedNullHandler
-}

@@ -38,13 +38,7 @@ func TestCostModelMatchesTable5(t *testing.T) {
 	if cm.BufferInsertMin != 180 || cm.BufferInsertVMAlloc != 3162 {
 		t.Errorf("insert costs = %d/%d, want 180/3162", cm.BufferInsertMin, cm.BufferInsertVMAlloc)
 	}
-	if got := cm.BufferedExtract(0); got != 52 {
-		t.Errorf("BufferedExtract(0) = %d, want 52", got)
-	}
-	if got := cm.BufferedExtract(4); got != 70 {
-		t.Errorf("BufferedExtract(4) = %d, want 70 (52 + 4*4.5)", got)
-	}
-	if got := cm.BufferedMinTotal(); got != 232 {
-		t.Errorf("BufferedMinTotal = %d, want 232", got)
+	if cm.BufferedNullHandler != 52 {
+		t.Errorf("buffered null handler = %d, want 52", cm.BufferedNullHandler)
 	}
 }

@@ -287,7 +287,6 @@ func (k *Kernel) timeoutISR(t *cpu.Task) {
 	if k.m.Trace.Enabled(trace.Mode) {
 		k.m.Trace.Add(k.m.Eng.Now(), k.node, trace.Mode, "revoke %s (uac=%#x)", p.job.name, k.ni.UAC())
 	}
-	p.Revocations++
 	k.mRevocations.Inc()
 	k.mEnterRevoke.Inc()
 	p.buffered = true
@@ -507,7 +506,6 @@ func (k *Kernel) Touch(t *cpu.Task, p *Process, addr uint64, inHandler bool) {
 	t.Spend(k.cost.FaultService)
 	k.mFramesInUse.Set(int64(k.frames.InUse()))
 	if inHandler {
-		p.FaultsInHandler++
 		k.mFaultsInHandler.Inc()
 		if k.kernelBuffered && !p.buffered {
 			p.buffered = true
@@ -528,7 +526,6 @@ func (k *Kernel) Touch(t *cpu.Task, p *Process, addr uint64, inHandler bool) {
 // (Section 4.3).
 func (k *Kernel) SyntheticHandlerFault(t *cpu.Task, p *Process) {
 	t.Spend(k.cost.FaultService)
-	p.FaultsInHandler++
 	k.mFaultsInHandler.Inc()
 	if k.kernelBuffered && !p.buffered {
 		p.buffered = true

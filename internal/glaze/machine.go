@@ -139,7 +139,6 @@ type Machine struct {
 	// set. Each machine gets its own injector (the PCG state mutates).
 	Faults *faultinject.Injector
 
-	watchdog  *watchdog
 	telemetry *telemetry.Recorder
 	diags     []Diagnostic
 
@@ -217,7 +216,7 @@ func NewMachine(cfg Config, opts ...ConfigOption) *Machine {
 		m.Nodes[i].Kernel = newKernel(m, i)
 	}
 	if cfg.Watchdog.Enabled() {
-		m.watchdog = newWatchdog(m, cfg.Watchdog)
+		startWatchdog(m, cfg.Watchdog)
 	}
 	if cfg.Telemetry.Enabled() {
 		m.telemetry = telemetry.NewRecorder(cfg.Telemetry)
@@ -238,15 +237,6 @@ type Diagnostic interface {
 
 // RegisterDiag adds a diagnostic provider consulted by Diagnose.
 func (m *Machine) RegisterDiag(d Diagnostic) { m.diags = append(m.diags, d) }
-
-// WatchdogReport returns the liveness report if the watchdog fired, else
-// nil. The report is also attached to the span recorder.
-func (m *Machine) WatchdogReport() *spans.Report {
-	if m.watchdog == nil {
-		return nil
-	}
-	return m.watchdog.report
-}
 
 // Cost returns the machine's cost model.
 func (m *Machine) Cost() CostModel { return m.cost }

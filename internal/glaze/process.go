@@ -63,9 +63,7 @@ type Process struct {
 	throttleW    *cpu.WaitQ
 
 	// Statistics.
-	Deliv           Delivery
-	Revocations     uint64 // atomicity timeouts against this process
-	FaultsInHandler uint64
+	Deliv Delivery
 
 	// Delivery instruments, bound to the node registry (shared across the
 	// node's processes — the registry aggregates per node).

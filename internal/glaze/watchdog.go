@@ -50,17 +50,17 @@ type watchdog struct {
 	last    wdFingerprint
 	stale   int
 	checkFn func() // w.check bound once so rescheduling never allocates
-	report  *spans.Report
 }
 
-func newWatchdog(m *Machine, cfg WatchdogConfig) *watchdog {
+// startWatchdog schedules the watchdog's first check; each check schedules
+// the next.
+func startWatchdog(m *Machine, cfg WatchdogConfig) {
 	if cfg.Grace < 1 {
 		cfg.Grace = 1
 	}
 	w := &watchdog{m: m, cfg: cfg}
 	w.checkFn = w.check
 	m.Eng.ScheduleSite(siteWatchdog, cfg.Interval, w.checkFn)
-	return w
 }
 
 func (w *watchdog) fingerprint() wdFingerprint {
@@ -101,10 +101,9 @@ func (w *watchdog) check() {
 }
 
 func (w *watchdog) fire() {
-	w.report = w.m.Diagnose(fmt.Sprintf(
+	w.m.Spans.SetReport(w.m.Diagnose(fmt.Sprintf(
 		"no delivery progress for %d cycles (%d checks at interval %d) with unfinished jobs",
-		uint64(w.stale)*w.cfg.Interval, w.stale, w.cfg.Interval))
-	w.m.Spans.SetReport(w.report)
+		uint64(w.stale)*w.cfg.Interval, w.stale, w.cfg.Interval)))
 	w.m.Eng.Stop()
 }
 

@@ -15,7 +15,7 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 	if job.Done() {
 		t.Fatal("stalled job reported done")
 	}
-	rep := m.WatchdogReport()
+	rep := m.Spans.Report()
 	if rep == nil {
 		t.Fatal("watchdog did not fire on a stalled run")
 	}
@@ -55,7 +55,7 @@ func runStall() (*Machine, *Job) {
 // its pending upcall signal and UAC.
 func TestWatchdogReportNamesWaitQueues(t *testing.T) {
 	m, _ := runStall()
-	rep := m.WatchdogReport()
+	rep := m.Spans.Report()
 	if rep == nil {
 		t.Fatal("watchdog did not fire on a stalled run")
 	}
@@ -91,7 +91,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	if !job.Done() {
 		t.Fatal("healthy job did not finish")
 	}
-	if rep := m.WatchdogReport(); rep != nil {
+	if rep := m.Spans.Report(); rep != nil {
 		t.Fatalf("watchdog fired on a healthy run:\n%s", rep.String())
 	}
 }

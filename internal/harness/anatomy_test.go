@@ -10,8 +10,12 @@ import (
 
 	"fugu/internal/delivery"
 	"fugu/internal/faultinject"
+	"fugu/internal/glaze"
+	"fugu/internal/metrics"
 	"fugu/internal/sim"
 	"fugu/internal/spans"
+	"fugu/internal/telemetry"
+	"fugu/internal/trace"
 )
 
 // TestDwellConservationProperty is the end-to-end anatomy invariant: for ANY
@@ -83,40 +87,63 @@ func TestDwellConservationProperty(t *testing.T) {
 	}
 }
 
-// TestAnatomyDoesNotPerturbGolden pins the observation-only contract of this
-// PR's instrumentation: running the golden experiments with the span
-// recorder (dwell anatomy on) AND the engine cost profiler attached must
-// reproduce the golden CSVs byte-for-byte — recording charges no simulated
-// cycles, draws no RNG, and the profiler only observes dispatches.
-func TestAnatomyDoesNotPerturbGolden(t *testing.T) {
+// TestObserversDoNotPerturbGolden pins the observation-only contract of
+// glaze.Observers: each member attached alone leaves table4's and fig9's
+// CSVs byte-identical to their goldens, and records something, so the check
+// cannot pass with the observer idle.
+func TestObserversDoNotPerturbGolden(t *testing.T) {
 	for _, name := range []string{"table4", "fig9"} {
-		want := goldenFast[name]
 		exp, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
 		}
+		// run returns the CSVs, the dispatched engine events and the number
+		// of point timelines of one serial reference run.
+		run := func(obs glaze.Observers) (files map[string]string, events uint64, timelines int) {
+			r := &Runner{
+				OnMetrics:  func(s metrics.Snapshot) { events = s.Counters["sim.events"] },
+				OnTimeline: func(int, string, telemetry.Timeline) { timelines++ },
+			}
+			res, err := r.Run(context.Background(), exp,
+				WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(1),
+				optionFunc(func(o *Options) { o.Observers = obs }))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res.(CSVer).CSVFiles(), events, timelines
+		}
+		_, bare, _ := run(glaze.Observers{})
+		log := trace.New(1 << 12)
+		log.Enable(trace.Categories()...)
 		rec := spans.NewRecorder(nil)
 		prof := sim.NewProfiler(sim.ProfilerConfig{Wall: true})
-		res, err := (&Runner{}).Run(context.Background(), exp,
-			WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(1),
-			WithSpans(rec), WithProfiler(prof))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		files := res.(CSVer).CSVFiles()
-		for file, wantHash := range want {
-			sum := sha256.Sum256([]byte(files[file]))
-			if got := hex.EncodeToString(sum[:]); got != wantHash {
-				t.Errorf("%s with anatomy+profiler attached: %s hash = %s, want golden %s "+
-					"(span/profiler instrumentation must be observation-only)",
-					name, file, got, wantHash)
+		for _, c := range []struct {
+			observer string
+			obs      glaze.Observers
+			recorded func(events uint64, timelines int) bool
+		}{
+			{"trace", glaze.Observers{Trace: log}, func(uint64, int) bool { return log.Total() > 0 }},
+			{"spans", glaze.Observers{Spans: rec}, func(uint64, int) bool { return rec.Terminated() > 0 }},
+			// A watchdog that never fires leaves no report; its periodic
+			// checks are engine events of their own. Table4's runs last a
+			// few thousand cycles, so it checks often, and the large grace
+			// keeps fig9's compute phases from looking like a stall.
+			{"watchdog", glaze.Observers{Watchdog: glaze.WatchdogConfig{Interval: 100, Grace: 100_000}},
+				func(events uint64, _ int) bool { return events > bare }},
+			{"telemetry", glaze.Observers{Telemetry: telemetry.Config{Every: telemetry.DefaultEvery}},
+				func(_ uint64, timelines int) bool { return timelines > 0 }},
+			{"profiler", glaze.Observers{Profiler: prof}, func(uint64, int) bool { return prof.Snapshot().Events > 0 }},
+		} {
+			files, events, timelines := run(c.obs)
+			for file, wantHash := range goldenFast[name] {
+				sum := sha256.Sum256([]byte(files[file]))
+				if got := hex.EncodeToString(sum[:]); got != wantHash {
+					t.Errorf("%s with %s attached: %s hash = %s, want golden %s", name, c.observer, file, got, wantHash)
+				}
 			}
-		}
-		if rec.Terminated() == 0 {
-			t.Errorf("%s: anatomy observed no terminal spans", name)
-		}
-		if prof.Snapshot().Events == 0 {
-			t.Errorf("%s: profiler observed no events", name)
+			if !c.recorded(events, timelines) {
+				t.Errorf("%s: %s recorded nothing", name, c.observer)
+			}
 		}
 	}
 }

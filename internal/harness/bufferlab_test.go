@@ -15,11 +15,11 @@ import (
 // TestBufferlabDeterminism pins that the sweep is a pure function of its
 // options: a serial run and an 8-worker run must render byte-identical CSVs.
 func TestBufferlabDeterminism(t *testing.T) {
-	serial, err := BufferLab(WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(1))
+	serial, err := runAs[LabResult]("bufferlab", WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := BufferLab(WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(8))
+	parallel, err := runAs[LabResult]("bufferlab", WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestBufferlabEconomics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	res, err := BufferLab(WithQuick(), WithSeed(1))
+	res, err := runAs[LabResult]("bufferlab", WithQuick(), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

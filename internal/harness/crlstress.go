@@ -181,7 +181,7 @@ func runCRLStress(ops int, opt Options) crlStressPoint {
 	for _, v := range final {
 		total += v
 	}
-	return crlStressPoint{
+	pt := crlStressPoint{
 		row: CRLStressRow{
 			Ops:       ops,
 			Completed: job.Done(),
@@ -193,4 +193,6 @@ func runCRLStress(ops int, opt Options) crlStressPoint {
 		// read the same state.
 		Observation: Observation{Timeline: m.FinishTelemetry(), Metrics: m.MetricsSnapshot()},
 	}
+	m.Eng.Close()
+	return pt
 }

@@ -275,6 +275,7 @@ func runCrucibleLoad(pl cruciblePlan, trial int, opt Options, load crucibleLoad)
 	}
 	row.Problems = crucibleOracles(m, job, rec, ownRec, snap, seen, sends)
 	row.Problems = append(row.Problems, crucibleTimelineOracles(tl)...)
+	m.Eng.Close()
 	return labPoint{row: row, Observation: Observation{Metrics: snap, Timeline: tl}}
 }
 

@@ -59,7 +59,6 @@ func AppMakers(quick bool) []func() apps.Instance {
 type RunStats struct {
 	App            string
 	Model          string
-	Skew           float64
 	Runtime        uint64 // completion time in cycles
 	Msgs           uint64
 	Fast, Buffered uint64
@@ -92,7 +91,7 @@ func RunStandaloneMut(make func() apps.Instance, seed uint64, mut func(*glaze.Co
 	m.NewGang(1<<40, 0, job).Start()
 	start := m.Eng.Now()
 	m.RunUntilDone(0, job)
-	return collect(inst, job, m, 0, job.DoneAt()-start)
+	return collect(inst, job, m, job.DoneAt()-start)
 }
 
 // RunMultiprogrammedQ executes an instance against a null application under
@@ -110,19 +109,19 @@ func RunMultiprogrammedQ(make func() apps.Instance, skew float64, seed uint64, q
 	apps.Null{}.Start(m, null)
 	m.NewGang(quantum, skew, job, null).Start()
 	m.RunUntilDone(0, job)
-	return collect(inst, job, m, skew, job.DoneAt())
+	return collect(inst, job, m, job.DoneAt())
 }
 
-// collect assembles RunStats after completion. FinishTelemetry runs first
-// so the timeline's closing interval and Totals agree exactly with the
-// Metrics snapshot (the engine is stopped; both read the same state).
-func collect(inst apps.Instance, job *glaze.Job, m *glaze.Machine, skew float64, runtime uint64) RunStats {
+// collect assembles RunStats after completion, then ends the machine's
+// procs. FinishTelemetry runs first so the timeline's closing interval and
+// Totals agree exactly with the Metrics snapshot (the engine is stopped;
+// both read the same state).
+func collect(inst apps.Instance, job *glaze.Job, m *glaze.Machine, runtime uint64) RunStats {
 	tl := m.FinishTelemetry()
 	d := job.Delivery()
 	rs := RunStats{
 		App:            inst.Name(),
 		Model:          inst.Model(),
-		Skew:           skew,
 		Runtime:        runtime,
 		Fast:           d.Fast,
 		Buffered:       d.Buffered,
@@ -136,6 +135,7 @@ func collect(inst apps.Instance, job *glaze.Job, m *glaze.Machine, skew float64,
 		rs.TBetw = float64(runtime) * float64(len(job.Procs())) / float64(rs.Msgs)
 	}
 	rs.THand = handlerMean(job)
+	m.Eng.Close()
 	return rs
 }
 

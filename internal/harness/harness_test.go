@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"fugu/internal/apps"
 	"fugu/internal/glaze"
@@ -173,5 +175,24 @@ func TestFig10ExtraCostIsApplied(t *testing.T) {
 	}
 	if slow.Runtime <= base.Runtime {
 		t.Errorf("extra buffer cost did not slow the run: %d vs %d", slow.Runtime, base.Runtime)
+	}
+}
+
+// TestSweepLeavesNoGoroutines: every machine a point builds ends its procs.
+// A task still parked when its run ends (an IRQ task, an idle upcall task)
+// would otherwise keep its coroutine's goroutine, and through it the whole
+// machine, alive after the sweep.
+func TestSweepLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := Fig7and8(WithQuick(), WithTrials(1), WithSeed(1), WithParallelism(2)); err != nil {
+		t.Fatal(err)
+	}
+	// The runner's workers return before Run does, but may not have exited.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Errorf("%d goroutines before the sweep, %d after", before, after)
 	}
 }

@@ -251,9 +251,6 @@ func Crucible(opts ...Option) (LabResult, error) { return runAs[LabResult]("cruc
 // PolicyLab runs the delivery-policy comparison sweep.
 func PolicyLab(opts ...Option) (LabResult, error) { return runAs[LabResult]("policylab", opts...) }
 
-// BufferLab runs the buffer-economics sweep.
-func BufferLab(opts ...Option) (LabResult, error) { return runAs[LabResult]("bufferlab", opts...) }
-
 // LabRow is one (policy, queue, plan, trial) run's outcome.
 type LabRow struct {
 	// Policy is the delivery policy; KernelBuffered mirrors its

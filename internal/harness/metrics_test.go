@@ -150,7 +150,7 @@ func TestWithTraceReachesPointMachines(t *testing.T) {
 		t.Skip("sim")
 	}
 	l := trace.New(4096)
-	l.EnableAll()
+	l.Enable(trace.Categories()...)
 	opt := NewOptions(WithTrace(l), WithTrials(1), WithParallelism(1))
 	if opt.Trace != l {
 		t.Fatal("WithTrace did not resolve into Options")

@@ -166,7 +166,9 @@ func measure(impl glaze.AtomicityImpl, opt Options, polling bool) (uint64, metri
 	m.NewGang(1<<40, 0, job).Start()
 	m.RunUntilDone(0, job)
 	wire := cfg.Latency.Delay(1, 2) // one hop, two words
-	return doneAt - sentAt - wire - cfg.Cost.SendCost(0), m.MetricsSnapshot(), m.FinishTelemetry()
+	lat, snap, tl := doneAt-sentAt-wire-cfg.Cost.SendCost(0), m.MetricsSnapshot(), m.FinishTelemetry()
+	m.Eng.Close()
+	return lat, snap, tl
 }
 
 // Print renders the table with the paper's reference values.

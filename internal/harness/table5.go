@@ -110,6 +110,7 @@ func table5Measure(mut func(*glaze.Config)) Table5Result {
 	if res.Buffered > 0 {
 		res.MeasuredExtractMean = float64(job.Process(1).UpcallConsumed()) / float64(res.Buffered)
 	}
+	m.Eng.Close()
 	return res
 }
 

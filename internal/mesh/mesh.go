@@ -89,13 +89,6 @@ func (m LatencyModel) Delay(h, n int) uint64 {
 	return m.Base + m.PerHop*uint64(h) + m.PerWord*uint64(n)
 }
 
-// Stats aggregates per-network traffic counters.
-type Stats struct {
-	Packets uint64
-	Words   uint64
-	Refused uint64 // Arrive rejections (backpressure events)
-}
-
 // Net is the interconnect for a machine of W×H nodes.
 type Net struct {
 	eng       *sim.Engine
@@ -128,10 +121,6 @@ type Net struct {
 	// in use rather than per node pair. The lists start as windows of one
 	// backing array (see New); only the source's engine touches its list.
 	inflight [numClasses][][]arrival
-	// stats are kept in per-node lanes — Packets/Words owned by the
-	// sender, Refused by the receiver — so parallel partitions never write
-	// the same word; StatsFor sums them.
-	stats [numClasses][]Stats
 	// pool recycles packets per engine, indexed by the engine's partition
 	// (sim.Engine.Part): Acquire pops the free list of the node's engine,
 	// Release pushes it. A packet released at its receiver is reusable by
@@ -200,7 +189,6 @@ func New(eng *sim.Engine, w, h int, lat LatencyModel) *Net {
 	for c := range net.endpoints {
 		net.endpoints[c] = make([]Endpoint, n)
 		net.blocked[c] = make([][]*Packet, n)
-		net.stats[c] = make([]Stats, n)
 		net.inflight[c] = make([][]arrival, n)
 		for src := range net.inflight[c] {
 			// Full-slice windows: a list that outgrows its window
@@ -266,18 +254,6 @@ func (n *Net) Hops(src, dst int) int {
 // Register installs the endpoint for a node on one logical network.
 func (n *Net) Register(node int, class Class, ep Endpoint) {
 	n.endpoints[class][node] = ep
-}
-
-// StatsFor returns traffic counters for a logical network, summed over the
-// per-node lanes.
-func (n *Net) StatsFor(class Class) Stats {
-	var total Stats
-	for _, s := range n.stats[class] {
-		total.Packets += s.Packets
-		total.Words += s.Words
-		total.Refused += s.Refused
-	}
-	return total
 }
 
 // Acquire returns a packet whose Words slice has length words, recycled
@@ -360,8 +336,6 @@ func (n *Net) SendPacket(class Class, src, dst int, pkt *Packet) *Packet {
 		n.nextID++
 	}
 	n.rec.Begin(pkt.SentAt, pkt.ID, class.String(), src, dst, len(pkt.Words))
-	n.stats[class][src].Packets++
-	n.stats[class][src].Words += uint64(len(pkt.Words))
 	n.mPackets[class].Inc()
 	n.mWords[class].Add(uint64(len(pkt.Words)))
 	at := now + n.lat.Delay(n.Hops(src, dst), len(pkt.Words))
@@ -426,7 +400,6 @@ func (n *Net) deliver(pkt *Packet) {
 		panic(fmt.Sprintf("mesh: no endpoint for node %d class %s", pkt.Dst, pkt.Class))
 	}
 	if !ep.Arrive(pkt) {
-		n.stats[pkt.Class][pkt.Dst].Refused++
 		n.mRefused[pkt.Class].Inc()
 		n.blocked[pkt.Class][pkt.Dst] = append(q, pkt)
 		n.mBlocked.Add(1)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fugu/internal/metrics"
 	"fugu/internal/sim"
 )
 
@@ -97,6 +98,8 @@ func TestInOrderPerPair(t *testing.T) {
 func TestBackpressureAndNotifySpace(t *testing.T) {
 	e := sim.NewEngine(1)
 	n, eps := newNet(e)
+	reg := metrics.NewRegistry()
+	n.UseMetrics(reg)
 	eps[1].cap = 2
 	for i := 0; i < 5; i++ {
 		n.Send(Main, 0, 1, []uint64{uint64(i)})
@@ -108,7 +111,7 @@ func TestBackpressureAndNotifySpace(t *testing.T) {
 	if n.BlockedAt(1, Main) != 3 {
 		t.Fatalf("blocked = %d, want 3", n.BlockedAt(1, Main))
 	}
-	if n.StatsFor(Main).Refused == 0 {
+	if reg.Counter("mesh.main.refused").Value() == 0 {
 		t.Error("no refusals recorded")
 	}
 	// Drain one slot: exactly one blocked packet (the next in order) lands.
@@ -175,15 +178,19 @@ func TestClassesIndependent(t *testing.T) {
 func TestStats(t *testing.T) {
 	e := sim.NewEngine(1)
 	n, _ := newNet(e)
+	reg := metrics.NewRegistry()
+	n.UseMetrics(reg)
 	n.Send(Main, 0, 1, []uint64{1, 2, 3})
 	n.Send(Main, 2, 3, []uint64{1})
 	n.Send(OS, 0, 1, []uint64{1, 2})
 	e.Run()
-	if s := n.StatsFor(Main); s.Packets != 2 || s.Words != 4 {
-		t.Errorf("main stats = %+v", s)
-	}
-	if s := n.StatsFor(OS); s.Packets != 1 || s.Words != 2 {
-		t.Errorf("os stats = %+v", s)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{{"mesh.main.packets", 2}, {"mesh.main.words", 4}, {"mesh.os.packets", 1}, {"mesh.os.words", 2}} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

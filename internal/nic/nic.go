@@ -493,10 +493,6 @@ func (ni *NI) Describe(words ...uint64) {
 	ni.out = append(ni.out, words...)
 }
 
-// DescriptorLength returns the descriptor-length register: words currently
-// described and not yet launched (the state a context switch would swap).
-func (ni *NI) DescriptorLength() int { return len(ni.out) }
-
 // ClearDescriptor abandons the current descriptor (kernel context-switch
 // path: the descriptor is unloaded and later reloaded via Describe). The
 // words are copied into dst's storage, which is returned resliced; the NI
@@ -642,14 +638,3 @@ func (ni *NI) SetDivert(on bool) {
 	ni.signaled = nil
 	ni.evaluate()
 }
-
-// SetTimerPreset changes the atomicity-timeout preset value.
-func (ni *NI) SetTimerPreset(v uint64) {
-	ni.cfg.TimerPreset = v
-	ni.timer.presetVal = v
-	ni.timer.preset()
-	ni.timer.update()
-}
-
-// TimerRemaining exposes the countdown for tests and diagnostics.
-func (ni *NI) TimerRemaining() uint64 { return ni.timer.remainingNow() }

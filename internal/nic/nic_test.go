@@ -94,8 +94,8 @@ func TestUserLaunchKernelHeaderTraps(t *testing.T) {
 		t.Errorf("trap = %v, want protection-violation", trap)
 	}
 	// The descriptor is untouched; the kernel could still launch it.
-	if r.ni[0].DescriptorLength() != 2 {
-		t.Errorf("descriptor length = %d, want 2", r.ni[0].DescriptorLength())
+	if n := len(r.ni[0].out); n != 2 {
+		t.Errorf("descriptor length = %d, want 2", n)
 	}
 	if trap := r.ni[0].Launch(true); trap != TrapNone {
 		t.Errorf("kernel launch trap = %v", trap)
@@ -381,7 +381,7 @@ func TestClearDescriptorContextSwitch(t *testing.T) {
 	r.ni[0].Describe(MakeHeader(1), xhandler, 5)
 	shadow := make([]uint64, 0, 8)
 	saved := r.ni[0].ClearDescriptor(shadow)
-	if len(saved) != 3 || r.ni[0].DescriptorLength() != 0 {
+	if len(saved) != 3 || len(r.ni[0].out) != 0 {
 		t.Fatal("ClearDescriptor did not unload")
 	}
 	if &saved[0] != &shadow[:1][0] {

@@ -102,17 +102,6 @@ func (t *atomicityTimer) fire() {
 	t.update()
 }
 
-func (t *atomicityTimer) remainingNow() uint64 {
-	if t.running {
-		elapsed := t.eng.Now() - t.startAt
-		if elapsed >= t.remaining {
-			return 0
-		}
-		return t.remaining - elapsed
-	}
-	return t.remaining
-}
-
 // RunChange implements cpu.RunListener: the timer counts user cycles only.
 func (t *atomicityTimer) RunChange(_ uint64, _, next *cpu.Task) {
 	t.userRunning = next != nil && next.Domain() == cpu.DomainUser

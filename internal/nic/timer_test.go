@@ -162,13 +162,28 @@ func TestTimerForceCountsWithoutMessage(t *testing.T) {
 }
 
 func TestTimerPresetWhileDisabled(t *testing.T) {
+	// Timer-force counts 60 of 100 user cycles, a block pauses the
+	// countdown with 40 left, and endatom disarms it. Disarmed, the counter
+	// is preset, so the next timer-force must run the full 100.
 	r := newTimerRig(t, 100)
-	if got := r.ni[1].TimerRemaining(); got != 100 {
-		t.Errorf("idle remaining = %d, want preset 100", got)
+	var user *cpu.Task
+	var rearmAt uint64
+	user = r.cpu.NewTask("user", cpu.PrioUser, cpu.DomainUser, func(tk *cpu.Task) {
+		r.ni[1].BeginAtom(UACTimerForce, false)
+		tk.Spend(60)
+		r.eng.Schedule(10, user.Unblock)
+		tk.Block()
+		r.ni[1].EndAtom(UACTimerForce, false)
+		rearmAt = tk.Now()
+		r.ni[1].BeginAtom(UACTimerForce, false)
+		tk.Spend(1000)
+	})
+	r.eng.Run()
+	if r.got[1].timeout == 0 {
+		t.Fatal("timer-force never fired")
 	}
-	r.ni[1].SetTimerPreset(500)
-	if got := r.ni[1].TimerRemaining(); got != 500 {
-		t.Errorf("remaining after SetTimerPreset = %d, want 500", got)
+	if want := rearmAt + 100; r.last[1].timeoutAt != want {
+		t.Errorf("first fire at %d, want %d (preset 100 after the re-arm at %d)", r.last[1].timeoutAt, want, rearmAt)
 	}
 }
 

@@ -20,7 +20,8 @@ type Engine struct {
 	// while the dispatch chain unwinds to it (see Proc.park).
 	handoff *Proc
 	stopped bool
-	live    int // number of live (spawned, not finished) procs
+	live    int      // number of live (spawned, not finished) procs
+	stops   []func() // every spawned proc's iter.Pull stop, for Close
 
 	// Limit, when nonzero, bounds simulated time: Run returns once the
 	// next event would fire after Limit.

@@ -3,6 +3,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 )
@@ -78,16 +79,45 @@ func (p *Proc) SetRearm(r Rearmer) { p.rearm = r }
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
 	e.live++
-	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+	var stop func()
+	p.resume, stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != errStopped {
+				panic(r)
+			}
+		}()
 		p.yield = yield
-		yield(struct{}{})
+		if !yield(struct{}{}) {
+			return
+		}
 		fn(p)
 		p.done = true
 		e.live--
 	})
+	e.stops = append(e.stops, stop)
 	p.resume()
 	p.wake = e.scheduleProc(0, p)
 	return p
+}
+
+// errStopped unwinds a parked proc that Close ends.
+var errStopped = errors.New("sim: proc stopped")
+
+// Close ends every proc that has not returned, so their coroutines (and
+// everything they reference) do not outlive the engine: a proc parked
+// forever, like a task blocked on a queue nobody wakes when a run ends,
+// otherwise keeps its coroutine alive. An ended proc's park panics with
+// errStopped, which Spawn's wrapper recovers, so of the proc's own code only
+// its pending deferred calls run. Call Close from engine context once the
+// engine will not run again.
+func (e *Engine) Close() {
+	if e.current != nil {
+		panic(fmt.Sprintf("sim: Close while %s holds the baton", e.current.name))
+	}
+	for _, stop := range e.stops {
+		stop()
+	}
+	e.stops = nil
 }
 
 // dispatch hands the baton to p and blocks (in engine context) until p parks
@@ -201,8 +231,8 @@ func (p *Proc) park() {
 	p.chained = false
 	if e.handoff == p {
 		e.handoff = nil
-	} else {
-		p.yield(struct{}{})
+	} else if !p.yield(struct{}{}) {
+		panic(errStopped)
 	}
 	e.current = p
 	p.resumes++

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestProcSleep(t *testing.T) {
 	e := NewEngine(1)
@@ -228,5 +231,28 @@ func TestPrimedProcSwitchesAllocateNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("first dispatch, park and wake allocate %.1f times, want 0", allocs)
+	}
+}
+
+// TestCloseEndsParkedProcs: Close ends a proc parked forever and one never
+// dispatched, with their goroutines, and runs none of their code past the
+// park but the parked proc's deferred call.
+func TestCloseEndsParkedProcs(t *testing.T) {
+	e := NewEngine(1)
+	var unwound, resumed bool
+	e.Spawn("parked", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Park()
+		resumed = true
+	})
+	e.Run()
+	e.Spawn("undispatched", func(p *Proc) { resumed = true })
+	before := runtime.NumGoroutine()
+	e.Close()
+	if !unwound || resumed {
+		t.Errorf("after Close: deferred call ran %v, code past the park ran %v; want true, false", unwound, resumed)
+	}
+	if after := runtime.NumGoroutine(); after != before-2 {
+		t.Errorf("goroutines %d -> %d across Close, want two fewer", before, after)
 	}
 }

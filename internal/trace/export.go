@@ -118,7 +118,7 @@ type jsonlEvent struct {
 }
 
 // WriteJSONL renders the retained events as JSON Lines, one event object
-// per line in chronological order — the machine-consumable twin of Dump.
+// per line in chronological order.
 func (l *Log) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, e := range l.Events() {

@@ -75,7 +75,7 @@ func TestWriteChromeTraceIsLoadableJSON(t *testing.T) {
 
 func TestWriteChromeTraceReportsDropped(t *testing.T) {
 	l := New(2)
-	l.EnableAll()
+	l.Enable(Categories()...)
 	for i := 0; i < 5; i++ {
 		l.Add(uint64(i), 0, Sched, "e%d", i)
 	}
@@ -93,7 +93,7 @@ func TestWriteChromeTraceReportsDropped(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	l := New(8)
-	l.EnableAll()
+	l.Enable(Categories()...)
 	l.Add(7, 1, Mode, "a")
 	l.Add(9, 2, Sched, "b")
 	var buf bytes.Buffer

@@ -6,10 +6,7 @@
 // or JSONL).
 package trace
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Category classifies events; categories are enabled independently.
 type Category int
@@ -46,10 +43,6 @@ type Event struct {
 	What string
 }
 
-func (e Event) String() string {
-	return fmt.Sprintf("t=%-10d node%d %-8s %s", e.At, e.Node, e.Cat, e.What)
-}
-
 // Log is a bounded ring of events. The zero value is a disabled log; use
 // New to size and enable one.
 type Log struct {
@@ -73,13 +66,6 @@ func New(cap int) *Log {
 func (l *Log) Enable(cats ...Category) {
 	for _, c := range cats {
 		l.enabled[c] = true
-	}
-}
-
-// EnableAll turns every category on.
-func (l *Log) EnableAll() {
-	for i := range l.enabled {
-		l.enabled[i] = true
 	}
 }
 
@@ -128,18 +114,4 @@ func (l *Log) Events() []Event {
 	out = append(out, l.ring[l.next:]...)
 	out = append(out, l.ring[:l.next]...)
 	return out
-}
-
-// Dump renders the retained events, newest last.
-func (l *Log) Dump() string {
-	evs := l.Events()
-	var b strings.Builder
-	for _, e := range evs {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	if l != nil && l.total > uint64(len(evs)) {
-		fmt.Fprintf(&b, "(%d earlier events dropped)\n", l.total-uint64(len(evs)))
-	}
-	return b.String()
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
@@ -29,7 +26,7 @@ func TestDisabledCategoryDropped(t *testing.T) {
 
 func TestRingKeepsNewest(t *testing.T) {
 	l := New(3)
-	l.EnableAll()
+	l.Enable(Categories()...)
 	for i := 0; i < 10; i++ {
 		l.Add(uint64(i), 0, Mode, "e%d", i)
 	}
@@ -48,18 +45,17 @@ func TestRingKeepsNewest(t *testing.T) {
 	}
 }
 
-func TestDumpMentionsDropped(t *testing.T) {
+func TestDroppedCountsOverwritten(t *testing.T) {
 	l := New(2)
-	l.EnableAll()
+	l.Enable(Categories()...)
 	for i := 0; i < 5; i++ {
 		l.Add(uint64(i), 1, Overflow, "x")
 	}
-	d := l.Dump()
-	if !strings.Contains(d, "3 earlier events dropped") {
-		t.Errorf("dump = %q", d)
+	if l.Dropped() != 3 {
+		t.Errorf("Dropped = %d, want 3", l.Dropped())
 	}
-	if !strings.Contains(d, "overflow") {
-		t.Error("dump missing category name")
+	if evs := l.Events(); len(evs) != 2 || evs[0].Cat != Overflow {
+		t.Errorf("events = %v", evs)
 	}
 }
 
@@ -68,7 +64,7 @@ func TestExactCapacityKeepsAllInOrder(t *testing.T) {
 	// chronological order with nothing counted as dropped.
 	const n = 4
 	l := New(n)
-	l.EnableAll()
+	l.Enable(Categories()...)
 	for i := 0; i < n; i++ {
 		l.Add(uint64(i), 0, Mode, "e%d", i)
 	}
@@ -84,17 +80,14 @@ func TestExactCapacityKeepsAllInOrder(t *testing.T) {
 	if l.Dropped() != 0 {
 		t.Errorf("Dropped = %d, want 0", l.Dropped())
 	}
-	if strings.Contains(l.Dump(), "dropped") {
-		t.Errorf("Dump claims drops at exact capacity:\n%s", l.Dump())
-	}
 }
 
 func TestOneOverCapacityDropsExactlyOldest(t *testing.T) {
 	// One event past capacity must drop exactly the oldest event and
-	// account for exactly one drop in Dump.
+	// account for exactly one drop.
 	const n = 4
 	l := New(n)
-	l.EnableAll()
+	l.Enable(Categories()...)
 	for i := 0; i <= n; i++ {
 		l.Add(uint64(i), 0, Sched, "e%d", i)
 	}
@@ -113,14 +106,11 @@ func TestOneOverCapacityDropsExactlyOldest(t *testing.T) {
 	if l.Dropped() != 1 {
 		t.Errorf("Dropped = %d, want 1", l.Dropped())
 	}
-	if !strings.Contains(l.Dump(), "(1 earlier events dropped)") {
-		t.Errorf("dump = %q", l.Dump())
-	}
 }
 
 func TestChronologicalOrderBeforeWrap(t *testing.T) {
 	l := New(10)
-	l.EnableAll()
+	l.Enable(Categories()...)
 	l.Add(5, 0, Mode, "a")
 	l.Add(6, 1, Sched, "b")
 	evs := l.Events()

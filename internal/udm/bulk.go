@@ -94,7 +94,6 @@ func (ep *EP) registerBulk() {
 		if !ok {
 			panic(fmt.Sprintf("udm: node %d: no handler registered for bulk id %d", ep.Node(), x.msg.Handler))
 		}
-		ep.Delivered++
 		x.msg.Fast = m.Fast
 		x.msg.Bulk = true
 		env := ep.getEnv()

@@ -37,7 +37,6 @@ func (ep *EP) run(t *cpu.Task, m *Msg) {
 	if !ok {
 		panic(fmt.Sprintf("udm: node %d: no handler registered for id %d", ep.Node(), m.Handler))
 	}
-	ep.Delivered++
 	ep.mDelivered.Inc()
 	e := ep.getEnv()
 	e.T = t

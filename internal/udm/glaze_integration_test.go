@@ -164,11 +164,12 @@ func TestOSNetworkIndependence(t *testing.T) {
 	m.NewGang(1<<40, 0, job).Start()
 	m.RunUntilDone(0, job)
 	m.Eng.RunUntil(m.Eng.Now() + 1_000_000)
-	if s := m.Net.StatsFor(mesh.OS); s.Packets == 0 || s.Refused != 0 {
-		t.Errorf("OS network stats = %+v, want delivered unrefused", s)
+	c := m.Metrics.Counter
+	if pk, ref := c("mesh.os.packets").Value(), c("mesh.os.refused").Value(); pk == 0 || ref != 0 {
+		t.Errorf("OS network packets = %d, refused = %d, want delivered unrefused", pk, ref)
 	}
-	if s := m.Net.StatsFor(mesh.Main); s.Refused == 0 {
-		t.Errorf("main network was never congested (refused = %d); the test proved nothing", s.Refused)
+	if ref := c("mesh.main.refused").Value(); ref == 0 {
+		t.Errorf("main network was never congested (refused = %d); the test proved nothing", ref)
 	}
 }
 

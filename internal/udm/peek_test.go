@@ -86,8 +86,8 @@ func TestPeekTransparentInBufferedMode(t *testing.T) {
 	if peeked == nil || peeked.Args[0] != 5 {
 		t.Fatalf("peeked = %+v, want args [5]", peeked)
 	}
-	if job.Process(1).Revocations != 1 {
-		t.Errorf("revocations = %d, want 1", job.Process(1).Revocations)
+	if n := m.Nodes[1].Metrics.Counter("glaze.revocations").Value(); n != 1 {
+		t.Errorf("revocations = %d, want 1", n)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestTraceRecordsTransitions(t *testing.T) {
 		e := eps[1].Env(tk)
 		e.BeginAtomic()
 		tk.Spend(3000) // let the timer revoke
-		for eps[1].Delivered < 2 {
+		for m.Nodes[1].Metrics.Counter("udm.delivered").Value() < 2 {
 			e.Poll()
 		}
 		e.EndAtomic()
@@ -33,10 +33,13 @@ func TestTraceRecordsTransitions(t *testing.T) {
 		e.Inject(1, 1, 2)
 	})
 	m.RunUntilDone(0, job)
-	dump := m.Trace.Dump()
+	var log strings.Builder
+	for _, ev := range m.Trace.Events() {
+		log.WriteString(ev.What + "\n")
+	}
 	for _, want := range []string{"switch to test", "revoke test", "exit buffered test"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("trace missing %q:\n%s", want, dump)
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("trace missing %q:\n%s", want, log.String())
 		}
 	}
 	if m.Trace.Total() < 3 {

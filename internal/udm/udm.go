@@ -83,9 +83,6 @@ type EP struct {
 	stepsFree *steps
 	steps0    [2]steps
 
-	// Statistics.
-	Sent      uint64
-	Delivered uint64 // messages run through handlers on this node
 	// HandlerCycles holds the cycles of each delivery, handler body
 	// included. It is this endpoint's own, not in the node registry,
 	// which the node's other processes share.
@@ -192,7 +189,6 @@ func (ep *EP) injectReady(t *cpu.Task, dst int, handler uint64, args []uint64) {
 	if trap := ni.Launch(false); trap != nic.TrapNone {
 		panic(fmt.Sprintf("udm: launch trapped %v", trap))
 	}
-	ep.Sent++
 	ep.mSent.Inc()
 }
 

@@ -302,8 +302,8 @@ func TestRevocationDuringPolling(t *testing.T) {
 	})
 	m.RunUntilDone(0, job)
 	p := job.Process(1)
-	if p.Revocations != 1 {
-		t.Errorf("revocations = %d, want 1", p.Revocations)
+	if n := m.Nodes[1].Metrics.Counter("glaze.revocations").Value(); n != 1 {
+		t.Errorf("revocations = %d, want 1", n)
 	}
 	if len(got) != 3 {
 		t.Fatalf("got %d messages, want 3", len(got))
@@ -353,7 +353,7 @@ func TestRevocationDuringHandler(t *testing.T) {
 		}
 	}
 	p := job.Process(1)
-	if p.Revocations == 0 {
+	if m.Nodes[1].Metrics.Counter("glaze.revocations").Value() == 0 {
 		t.Error("no revocation recorded")
 	}
 	if job.Delivery().Buffered == 0 {
@@ -391,8 +391,8 @@ func TestFaultInHandlerForcesBuffering(t *testing.T) {
 	if !faultedMode {
 		t.Error("fault in handler did not engage buffered mode")
 	}
-	if job.Process(1).FaultsInHandler != 1 {
-		t.Errorf("FaultsInHandler = %d, want 1", job.Process(1).FaultsInHandler)
+	if n := m.Nodes[1].Metrics.Counter("glaze.faults_in_handler").Value(); n != 1 {
+		t.Errorf("faults in handler = %d, want 1", n)
 	}
 	if job.Process(1).Buffered() {
 		t.Error("process stuck in buffered mode")

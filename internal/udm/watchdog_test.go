@@ -46,8 +46,7 @@ func TestPollingWatchdogPattern(t *testing.T) {
 			t.Fatalf("order violated: %v", got)
 		}
 	}
-	p := job.Process(1)
-	if p.Revocations == 0 {
+	if m.Nodes[1].Metrics.Counter("glaze.revocations").Value() == 0 {
 		t.Error("watchdog (atomicity timeout) never fired")
 	}
 	if job.Delivery().Buffered == 0 {

@@ -112,8 +112,7 @@ type Space struct {
 	frames *Frames
 	pages  map[uint64][]uint64 // resident pages' words by virtual page
 
-	denied    uint64 // allocations refused for lack of frames
-	highWater int    // max pages simultaneously mapped in this space
+	highWater int // max pages simultaneously mapped in this space
 }
 
 // NewSpace returns an empty address space over the node's frame pool.
@@ -121,20 +120,11 @@ func NewSpace(frames *Frames) *Space {
 	return &Space{frames: frames, pages: make(map[uint64][]uint64)}
 }
 
-// Mapped reports whether the page containing addr is resident.
-func (s *Space) Mapped(addr uint64) bool {
-	_, ok := s.pages[PageOf(addr)]
-	return ok
-}
-
 // PagesMapped returns the number of resident pages.
 func (s *Space) PagesMapped() int { return len(s.pages) }
 
 // HighWater returns the lifetime maximum of PagesMapped.
 func (s *Space) HighWater() int { return s.highWater }
-
-// Denied returns how many allocations failed for lack of physical frames.
-func (s *Space) Denied() uint64 { return s.denied }
 
 // Ensure makes the page containing addr resident. It returns faulted=true
 // when a fresh zero-filled page was allocated (the caller charges fault
@@ -146,7 +136,6 @@ func (s *Space) Ensure(addr uint64) (faulted, ok bool) {
 		return false, true
 	}
 	if !s.frames.alloc() {
-		s.denied++
 		return true, false
 	}
 	s.pages[vp] = s.frames.newPage()
@@ -213,7 +202,6 @@ func (s *Space) Install(addr uint64, words []uint64) bool {
 		panic("vm: install with wrong page size")
 	}
 	if !s.frames.alloc() {
-		s.denied++
 		return false
 	}
 	s.pages[vp] = words
